@@ -13,24 +13,36 @@ re-projected onto the current feasible box:
 ``eps_t`` is input-cost gradient error (e.g. from a learned model),
 ``xi_t`` is error in the tracking part, ``n_t`` is measurement noise.
 
-Randomness protocol: at each step the generator is consumed in the fixed
-order (availability uniform, eps, xi, measurement noise), and the noise is
-drawn even on steps where no measurement arrives.  Runs with the same seed
-but different ``p`` therefore share one underlying sample path, and their
-availability indicators are monotone in ``p`` (v coupling), which makes
-cross-``p`` comparisons well paired.
+One kernel, :func:`simulate`, advances a batch of independent runs as an
+``(R, m)`` array, one step at a time; :func:`run` is its batch of one.
+
+Randomness protocol: every run owns its generator and consumes it exactly
+as it would alone.  At each step, run by run, the generator is drawn in the
+fixed order (availability uniform, eps, xi, measurement noise), and the
+noise is drawn even on steps where no measurement arrives.  Runs with the
+same stream but different ``p`` therefore share one underlying sample
+path, and their availability indicators are monotone in ``p`` (v
+coupling), which makes cross-``p`` comparisons well paired.
+
+The batch arithmetic is row-independent: products with the plant matrix
+and norms are summed elementwise in a fixed order rather than by a BLAS
+product over the batch, whose rounding can depend on the batch size and a
+row's position in it.  A run's numbers are therefore the same whichever
+runs share its batch, and outputs do not depend on how :func:`fan_out`
+splits the runs over worker processes.
 """
 
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .subweibull import ErrorSampler
 
-__all__ = ["AlgoConfig", "Trajectory", "noisy_gradient", "step", "run"]
+__all__ = ["AlgoConfig", "Trajectory", "check_step_size", "simulate", "run", "fan_out"]
 
 
 @dataclass(frozen=True)
@@ -90,107 +102,127 @@ def _fmt(value: float) -> str:
     return format(float(value), ".15g")
 
 
-def noisy_gradient(prob, x, y_hat, t, eps_sampler, xi_sampler, rng):
-    """Inexact gradient at ``x`` given a measured output ``y_hat``.
+def _rowsum(P):
+    """Sum over the last axis in a fixed order, so no row depends on the batch."""
+    total = P[..., 0]
+    for j in range(1, P.shape[-1]):
+        total = total + P[..., j]
+    return total
 
-    Returns ``(gradient, error_vector)`` where the error vector is the drawn
-    ``eps + xi`` (measurement noise enters through ``y_hat`` and is not part
-    of it).
+
+def check_step_size(prob, alpha: float, n_steps: int) -> None:
+    """Raise ``ValueError`` unless ``alpha < 2/L`` over steps ``1 .. n_steps``."""
+    _, curv_l = prob.curvature_all()
+    l_sup = float(curv_l[1 : n_steps + 1].max())
+    if not alpha < 2.0 / l_sup:
+        raise ValueError(
+            f"step size {alpha} violates the contraction condition "
+            f"alpha < 2/L = {2.0 / l_sup:.6g} for this instance"
+        )
+
+
+def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_step=None):
+    """Advance ``R = len(rngs)`` independent runs together for ``n_steps`` steps.
+
+    ``x0`` holds ``(R, m)`` starting points, one ``(m,)`` point for every
+    run, or None for the step-0 box midpoint.  Run ``r`` draws from
+    ``rngs[r]`` only.  ``n_steps`` defaults to the full schedule and ``p``
+    (a scalar or one value per run) to ``cfg.p``.
+
+    ``input_grad(X, t) -> (R, m)`` optionally replaces the model term
+    ``grad U_t(x) + eps_t`` at the iterates ``X = x_{t-1}`` (learned costs);
+    eps is still drawn, so the sample path is unchanged, and the recorded
+    error norm uses the hook's deviation from the true input-cost gradient.
+    ``after_step(t, X_t)`` is optionally invoked after every update with
+    the ``(R, m)`` iterates (measurement scheduling hooks live here).
+
+    Returns one :class:`Trajectory` per run, in the order of ``rngs``.
     """
-    eps = eps_sampler.sample(rng, prob.n_inputs)
-    xi = xi_sampler.sample(rng, prob.n_inputs)
-    grad = prob.tracking_gradient(y_hat, t) + prob.u_gradient(x, t) + eps + xi
-    return grad, eps + xi
-
-
-def step(prob, x_prev, t, v, grad, alpha):
-    """One update: gradient move when ``v`` is set, then projection onto ``X_t``."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    if v:
-        return prob.project(x_prev - alpha * np.asarray(grad, dtype=float), t)
-    return prob.project(x_prev, t)
-
-
-def run(prob, cfg, x0=None, n_steps=None, input_grad=None, after_step=None, rng=None):
-    """Simulate the online update for ``n_steps`` steps.
-
-    Parameters
-    ----------
-    prob : TimeVaryingProblem
-    cfg : AlgoConfig
-    x0 : starting point, feasible for the step-0 box; defaults to the box
-        midpoint.
-    n_steps : number of updates; defaults to the full schedule.
-    input_grad : optional callable ``(x, t) -> vector`` replacing the model
-        term ``grad U_t(x) + eps_t`` (used for learned costs).  The
-        eps sampler is still drawn each step so the underlying sample path
-        is unchanged, and the recorded error norm uses the callable's
-        deviation from the true input-cost gradient.
-    after_step : optional callable ``(t, x_t, rng)`` invoked after every
-        update (measurement scheduling hooks live here).
-    rng : optional generator overriding ``default_rng(cfg.seed)``.
-
-    Returns a :class:`Trajectory`.
-    """
-    if n_steps is None:
-        n_steps = prob.n_steps
-    n_steps = int(n_steps)
+    n_steps = prob.n_steps if n_steps is None else int(n_steps)
     if not 1 <= n_steps <= prob.n_steps:
         raise ValueError(
             f"step count must lie in [1, {prob.n_steps}] for this schedule, got {n_steps}"
         )
-    _, curv_l = prob.curvature_all()
-    l_sup = float(curv_l[1 : n_steps + 1].max())
-    if not cfg.alpha < 2.0 / l_sup:
-        raise ValueError(
-            f"step size {cfg.alpha} violates the contraction condition "
-            f"alpha < 2/L = {2.0 / l_sup:.6g} for this instance"
-        )
-    m = prob.n_inputs
+    check_step_size(prob, cfg.alpha, n_steps)
+    n_runs, m, n_out = len(rngs), prob.n_inputs, prob.n_outputs
     if x0 is None:
         x0 = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (m,):
-        raise ValueError(f"starting point must have shape ({m},), got {x0.shape}")
-    if np.linalg.norm(prob.project(x0, 0) - x0) > 1e-9:
+    if x0.shape not in ((m,), (n_runs, m)):
+        raise ValueError(f"starting point must have shape ({m},) or ({n_runs}, {m}), got {x0.shape}")
+    x0 = np.broadcast_to(x0, (n_runs, m))
+    if np.any(np.sqrt(_rowsum((prob.project(x0, 0) - x0) ** 2)) > 1e-9):
         raise ValueError("starting point is infeasible for the step-0 box")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    p = np.broadcast_to(np.asarray(cfg.p if p is None else p, dtype=float), (n_runs,))
+    if not np.all((p > 0.0) & (p <= 1.0)):
+        raise ValueError(f"availability probability must lie in (0, 1], got {p}")
 
+    G, beta, y_ref = prob.plant.G, prob.costs.beta, prob.costs.y_ref
+    hw = prob.costs.w @ prob.plant.H.T  # disturbance part of the output, per step
     optima = prob.optimal_points()
-    x = np.empty((n_steps + 1, m))
-    v = np.zeros(n_steps + 1, dtype=np.int8)
-    d = np.empty(n_steps + 1)
-    e_norm = np.zeros(n_steps + 1)
-    grad_used = np.zeros((n_steps + 1, m))
-    x[0] = x0
-    d[0] = float(np.linalg.norm(x0 - optima[0]))
+    x = np.empty((n_runs, n_steps + 1, m))
+    v = np.zeros((n_runs, n_steps + 1), dtype=np.int8)
+    d = np.empty((n_runs, n_steps + 1))
+    e_norm = np.zeros((n_runs, n_steps + 1))
+    grad_used = np.zeros((n_runs, n_steps + 1, m))
+    x[:, 0] = x0
+    d[:, 0] = np.sqrt(_rowsum((x0 - optima[0]) ** 2))
+    u, noise = np.empty(n_runs), np.empty((n_runs, n_out))
+    eps, xi = np.empty((n_runs, m)), np.empty((n_runs, m))
 
     for t in range(1, n_steps + 1):
-        x_prev = x[t - 1]
-        # fixed consumption order; draws happen regardless of availability
-        u = rng.random()
-        eps = cfg.eps_sampler.sample(rng, m)
-        xi = cfg.xi_sampler.sample(rng, m)
-        noise = cfg.meas_noise.sample(rng, prob.n_outputs)
-        avail = u < cfg.p
+        x_prev = x[:, t - 1]
+        # fixed per-run consumption order; draws happen regardless of availability
+        for r, rng in enumerate(rngs):
+            u[r] = rng.random()
+            eps[r] = cfg.eps_sampler.sample(rng, m)
+            xi[r] = cfg.xi_sampler.sample(rng, m)
+            noise[r] = cfg.meas_noise.sample(rng, n_out)
+        avail = u < p
         if input_grad is None:
             model_term = prob.u_gradient(x_prev, t) + eps
             err = eps + xi
         else:
             model_term = np.asarray(input_grad(x_prev, t), dtype=float)
             err = (model_term - prob.u_gradient(x_prev, t)) + xi
-        e_norm[t] = float(np.linalg.norm(err))
-        if avail:
-            y_hat = prob.output(x_prev, t - 1) + noise
-            grad = prob.tracking_gradient(y_hat, t) + model_term + xi
-            grad_used[t] = grad
-            v[t] = 1
-        else:
-            grad = None
-        x[t] = step(prob, x_prev, t, avail, grad, cfg.alpha)
-        d[t] = float(np.linalg.norm(x[t] - optima[t]))
+        e_norm[:, t] = np.sqrt(_rowsum(err**2))
+        y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise
+        grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi
+        grad_used[avail, t] = grad[avail]
+        v[:, t] = avail
+        x[:, t] = prob.project(np.where(avail[:, None], x_prev - cfg.alpha * grad, x_prev), t)
+        d[:, t] = np.sqrt(_rowsum((x[:, t] - optima[t]) ** 2))
         if after_step is not None:
-            after_step(t, x[t], rng)
+            after_step(t, x[:, t])
+    return [Trajectory(x[r], v[r], d[r], e_norm[r], grad_used[r]) for r in range(n_runs)]
 
-    return Trajectory(x=x, v=v, d=d, e_norm=e_norm, grad=grad_used)
+
+def run(prob, cfg, x0=None, n_steps=None, input_grad=None, after_step=None, rng=None):
+    """One run: :func:`simulate` with a batch of one.
+
+    ``x0`` is one starting point (default: the step-0 box midpoint), ``rng``
+    defaults to ``default_rng(cfg.seed)``, and the hooks see this run alone:
+    ``input_grad(x, t) -> (m,)`` and ``after_step(t, x_t)``.  Returns a
+    :class:`Trajectory`.
+    """
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    grad_hook = None if input_grad is None else (lambda X, t: np.asarray(input_grad(X[0], t))[None])
+    step_hook = None if after_step is None else (lambda t, X: after_step(t, X[0]))
+    return simulate(prob, cfg, x0, [rng], n_steps, input_grad=grad_hook, after_step=step_hook)[0]
+
+
+def fan_out(fn, runs, n_jobs=1):
+    """``fn`` over contiguous chunks of ``runs``, one chunk per worker process.
+
+    ``fn`` maps a list of runs to a list of per-run results and must be
+    picklable when ``n_jobs > 1``.  Results come back in run order; since
+    the kernel is row-independent, they are the same for any ``n_jobs``.
+    """
+    runs = list(runs)
+    n_chunks = min(n_jobs, len(runs))
+    if n_chunks <= 1:
+        return fn(runs)
+    edges = [len(runs) * i // n_chunks for i in range(n_chunks + 1)]
+    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+        parts = pool.map(fn, [runs[lo:hi] for lo, hi in zip(edges, edges[1:])])
+        return [out for part in parts for out in part]

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bounds, scenario, validation
+from . import algorithm, bounds, scenario, validation
 from .config import (
     ConfigError,
     ValidationSettings,
@@ -107,17 +107,6 @@ def _traj_name(p: float, mode: str, exp_index: int) -> str:
     return f"traj_p{format(p, 'g')}_{mode}_e{exp_index}.csv"
 
 
-def _check_step_size(alpha: float, prob, n_steps: int) -> float:
-    _, curv_l = prob.curvature_all()
-    l_sup = float(curv_l[1 : n_steps + 1].max())
-    if not alpha < 2.0 / l_sup:
-        raise ConfigError(
-            f"step size alpha={alpha:.6g} violates the contraction condition "
-            f"alpha < 2/L = {2.0 / l_sup:.6g} for this instance"
-        )
-    return l_sup
-
-
 def _validation_setup(scen, val):
     """Instance and algorithm config for validate-bounds / bound-curve."""
     if val.instance == "synthetic":
@@ -137,7 +126,10 @@ def _validation_setup(scen, val):
         base = scenario.algo_config(scen, val.p)
         acfg = replace(base, alpha=val.alpha if val.alpha is not None else scen.alpha)
         n_steps = min(val.n_steps, scen.horizon)
-    _check_step_size(acfg.alpha, prob, n_steps)
+    try:
+        algorithm.check_step_size(prob, acfg.alpha, n_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return prob, acfg, n_steps
 
 
@@ -242,20 +234,11 @@ def _cmd_bound_curve(args) -> int:
             os.path.join(args.out, f"bound_asymptotic_p{ptag}.csv")
         )
         for d in val.deltas:
-            inputs_d = replace_delta(inputs, d)
-            bounds.hp_bound_trajectory(inputs_d, n_steps).to_csv(
+            bounds.hp_bound_trajectory(replace(inputs, delta=d), n_steps).to_csv(
                 os.path.join(args.out, f"bound_hp_p{ptag}_delta{format(d, 'g')}.csv")
             )
     print(f"wrote {len(names)} files to {args.out}")
     return 0
-
-
-def replace_delta(inputs: bounds.BoundInputs, delta: float) -> bounds.BoundInputs:
-    return bounds.BoundInputs(
-        alpha=inputs.alpha, p=inputs.p, zeta_t=inputs.zeta_t, phi=inputs.phi,
-        e_mean=inputs.e_mean, nu_e=inputs.nu_e, theta_eps=inputs.theta_eps,
-        theta_xi=inputs.theta_xi, d0=inputs.d0, delta=delta,
-    )
 
 
 def _cmd_gp_demo(args) -> int:

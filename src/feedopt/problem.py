@@ -163,18 +163,10 @@ class TimeVaryingProblem:
 
     # -- plant and cost evaluations -------------------------------------------
 
-    def evaluate_map(self, x, w) -> np.ndarray:
-        """Noise-free output ``G x + H w``."""
-        return self.plant(x, w)
-
     def output(self, x, t: int) -> np.ndarray:
         """Noise-free output at step ``t`` (schedule disturbance)."""
         t = self._check_t(t)
         return self.plant(x, self.costs.w[t])
-
-    def measure_output(self, x, w, noise_sampler, rng) -> np.ndarray:
-        """One noisy output measurement: ``G x + H w`` plus i.i.d. per-channel noise."""
-        return self.plant(x, w) + noise_sampler.sample(rng, self.n_outputs)
 
     def cost(self, x, t: int) -> float:
         t = self._check_t(t)

@@ -22,8 +22,8 @@ comparisons are paired.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "active_profile",
     "build_scenario",
     "run_experiment",
+    "run_experiments",
     "run_suite",
     "seed_cost_learners",
     "coordinate_cost",
@@ -246,48 +247,63 @@ def active_profile(switch_steps, t: int) -> int:
     return int(np.searchsorted(np.asarray(switch_steps), t, side="right") % 2)
 
 
-def run_experiment(prob, cfg: ScenarioConfig, p: float, mode: str, exp_index: int):
-    """One full run of the study at availability ``p``.
+def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
+    """The runs ``(p, exp_index)`` of one mode, advanced together as one batch.
 
     The experiment index seeds two child streams: the main one drives the
     starting point, the measurement pattern and the noise; a separate one
     drives the cost evaluations for the learner, so ``exact`` and ``gp``
-    runs of the same experiment see identical sample paths.
+    runs of the same experiment, at any ``p``, see identical sample paths.
 
-    In ``gp`` mode the owners signal profile changes, so the learner holds
-    one dataset per profile, each starting from the initial profiling
-    samples.  Evaluations recorded under one profile never enter the
-    posterior used while the other is active; when a profile returns, its
-    accumulated dataset is restored.
+    In ``gp`` mode each run has its own learner, and the owners signal
+    profile changes, so the learner holds one dataset per profile, each
+    starting from the initial profiling samples.  Evaluations recorded under
+    one profile never enter the posterior used while the other is active;
+    when a profile returns, its accumulated dataset is restored.  The
+    kernel hooks loop over the runs: ``input_grad(X, t)`` stacks each run's
+    posterior mean-gradient at its own iterate, and ``after_step(t, X)``
+    records every ``eval_period`` steps one noisy evaluation per run and
+    coordinate at the run's new iterate.  Returns one trajectory per run.
     """
     if mode not in ("exact", "gp"):
         raise ValueError(f"mode must be 'exact' or 'gp', got {mode!r}")
-    rng_main = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, exp_index, 0)))
-    rng_obs = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, exp_index, 1)))
-    x0 = rng_main.uniform(prob.boxes.lower[0], prob.boxes.upper[0])
-    acfg = algo_config(cfg, p)
-
-    if mode == "exact":
-        return algorithm.run(prob, acfg, x0=x0, n_steps=cfg.horizon, rng=rng_main)
-
-    seeded = seed_cost_learners(prob, cfg, rng_obs)
-    archive = {0: list(seeded), 1: list(seeded)}
-
-    def input_grad(x, t):
-        return gplearn.estimate_U_gradient(archive[active_profile(cfg.switch_steps, t)], x)
-
-    def observe(t, x_t, _rng):
-        if t % cfg.eval_period == 0:
-            current = archive[active_profile(cfg.switch_steps, t)]
-            for m in range(prob.n_inputs):
-                z = coordinate_cost(prob, m, float(x_t[m]), t)
-                z += cfg.obs_noise_sigma * rng_obs.standard_normal()
-                current[m] = current[m].add_observation(float(x_t[m]), z, max_obs=cfg.gp_max_obs)
-
-    return algorithm.run(
-        prob, acfg, x0=x0, n_steps=cfg.horizon,
-        input_grad=input_grad, after_step=observe, rng=rng_main,
+    rng_main, rng_obs = (
+        [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, e, k))) for _, e in runs]
+        for k in (0, 1)
     )
+    x0 = [rng.uniform(prob.boxes.lower[0], prob.boxes.upper[0]) for rng in rng_main]
+    ps = [p for p, _ in runs]
+    acfg = algo_config(cfg, ps[0])  # the kernel takes each run's own p from ``ps``
+    hooks = {}
+    if mode == "gp":
+        archives = []
+        for rng in rng_obs:
+            seeded = seed_cost_learners(prob, cfg, rng)
+            archives.append({0: list(seeded), 1: list(seeded)})
+
+        def input_grad(X, t):
+            k = active_profile(cfg.switch_steps, t)
+            return np.array([gplearn.estimate_U_gradient(a[k], x) for a, x in zip(archives, X)])
+
+        def observe(t, X):
+            if t % cfg.eval_period:
+                return
+            k = active_profile(cfg.switch_steps, t)
+            for archive, rng, x_t in zip(archives, rng_obs, X):
+                current = archive[k]
+                for m in range(prob.n_inputs):
+                    z = coordinate_cost(prob, m, float(x_t[m]), t)
+                    z += cfg.obs_noise_sigma * rng.standard_normal()
+                    current[m] = current[m].add_observation(float(x_t[m]), z, max_obs=cfg.gp_max_obs)
+
+        hooks = {"input_grad": input_grad, "after_step": observe}
+    return algorithm.simulate(prob, acfg, x0, rng_main, n_steps=cfg.horizon, p=ps, **hooks)
+
+
+def run_experiment(prob, cfg: ScenarioConfig, p: float, mode: str, exp_index: int):
+    """One full run of the study at availability ``p``: the batch of one of
+    :func:`run_experiments`, with the same streams and learner hooks."""
+    return run_experiments(prob, cfg, mode, [(p, exp_index)])[0]
 
 
 @dataclass
@@ -331,14 +347,8 @@ class ExperimentResult:
                         )
 
 
-def _experiment_worker(args):
-    prob, cfg, p, mode, exp_index = args
-    traj = run_experiment(prob, cfg, p, mode, exp_index)
-    return traj
-
-
 def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=None) -> ExperimentResult:
-    """All ``(p, mode, experiment)`` runs of the study.
+    """All ``(p, mode, experiment)`` runs of the study, one batch per mode.
 
     ``trajectory_sink(p, mode, exp_index, trajectory)`` is invoked for every
     finished run in a fixed order, so file outputs are deterministic for
@@ -347,18 +357,11 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
     if prob is None:
         prob = build_scenario(cfg)
     prob.optimal_points()  # fill the oracle cache before any pickling
-    tasks = [
-        (p, mode, e)
-        for p in cfg.p_values
-        for mode in cfg.modes
-        for e in range(cfg.n_experiments)
-    ]
-    if n_jobs <= 1:
-        trajectories = [run_experiment(prob, cfg, p, mode, e) for (p, mode, e) in tasks]
-    else:
-        args = [(prob, cfg, p, mode, e) for (p, mode, e) in tasks]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            trajectories = list(pool.map(_experiment_worker, args, chunksize=1))
+    runs = [(p, e) for p in cfg.p_values for e in range(cfg.n_experiments)]
+    trajectories = {}
+    for mode in cfg.modes:
+        batch = algorithm.fan_out(partial(run_experiments, prob, cfg, mode), runs, n_jobs)
+        trajectories.update({(p, mode, e): traj for (p, e), traj in zip(runs, batch)})
 
     result = ExperimentResult(
         p_values=tuple(cfg.p_values), modes=tuple(cfg.modes),
@@ -367,18 +370,17 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
     for p in cfg.p_values:
         for mode in cfg.modes:
             rows = np.stack(
-                [
-                    trajectories[tasks.index((p, mode, e))].d[1:]
-                    for e in range(cfg.n_experiments)
-                ]
+                [trajectories[(p, mode, e)].d[1:] for e in range(cfg.n_experiments)]
             )
             result.per_experiment[(p, mode)] = rows
             result.mean_d[(p, mode)] = rows.mean(axis=0)
             ddof = 1 if cfg.n_experiments > 1 else 0
             result.std_d[(p, mode)] = rows.std(axis=0, ddof=ddof)
     if trajectory_sink is not None:
-        for (p, mode, e), traj in zip(tasks, trajectories):
-            trajectory_sink(p, mode, e, traj)
+        for p in cfg.p_values:
+            for mode in cfg.modes:
+                for e in range(cfg.n_experiments):
+                    trajectory_sink(p, mode, e, trajectories[(p, mode, e)])
     return result
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -106,15 +106,6 @@ class ValidationReport:
 # ensemble simulation
 
 
-def _trial_chunk(args):
-    prob, cfg, n_steps, x0, entropy, indices = args
-    out = np.empty((len(indices), n_steps + 1))
-    for row, i in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
-        out[row] = algorithm.run(prob, cfg, x0=x0, n_steps=n_steps, rng=rng).d
-    return out
-
-
 def run_trials(prob, cfg, n_steps, n_trials, seed, x0=None, n_jobs=1) -> np.ndarray:
     """Distances ``d_t`` for ``n_trials`` independent runs, ``(n_trials, n_steps+1)``.
 
@@ -123,17 +114,13 @@ def run_trials(prob, cfg, n_steps, n_trials, seed, x0=None, n_jobs=1) -> np.ndar
     """
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
-    if x0 is None:
-        x0 = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
     prob.optimal_points()  # fill the cache once, before any worker pickling
-    indices = np.arange(n_trials)
-    if n_jobs <= 1:
-        return _trial_chunk((prob, cfg, n_steps, x0, seed, indices))
-    chunks = [c for c in np.array_split(indices, 4 * n_jobs) if c.size]
-    args = [(prob, cfg, n_steps, x0, seed, c) for c in chunks]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        parts = list(pool.map(_trial_chunk, args))
-    return np.vstack(parts)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        for i in range(n_trials)
+    ]
+    simulate = partial(algorithm.simulate, prob, cfg, x0, n_steps=n_steps)
+    return np.stack([traj.d for traj in algorithm.fan_out(simulate, rngs, n_jobs)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""Online update loop: contraction, availability gating, hooks, CSV record."""
+"""Online update kernel: contraction, availability gating, hooks, batching, CSV record."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedopt import algorithm, problem, subweibull
 
@@ -20,6 +24,33 @@ def static_problem(n_t=60, box=4.0):
         problem.LinearPlantMap(G, H),
         problem.BoxSchedule(lower, upper),
         problem.CostSchedule(1.0, y_ref, a, b, c, w),
+    )
+
+
+def drifting_problem(n_t=61):
+    """3 inputs, 2 outputs, a moving reference and boxes that breathe enough to bind."""
+    t = np.arange(n_t)[:, None]
+    G = np.array([[0.7, 0.3, 0.2], [0.1, 0.6, 0.4]])
+    H = np.array([[1.0], [0.8]])
+    y_ref = np.hstack([1.5 + np.sin(t / 7.0), -0.5 + np.cos(t / 5.0)])
+    a = np.tile([0.4, 0.7, 0.5], (n_t, 1))
+    b = np.tile([0.1, -0.3, 0.2], (n_t, 1))
+    c = np.zeros((n_t, 3))
+    w = 0.2 + 0.1 * np.sin(t / 3.0)
+    lower = np.tile([-1.0, -0.5, -2.0], (n_t, 1)) + 0.3 * np.sin(t / 4.0)
+    upper = lower + np.array([1.5, 1.0, 2.5])
+    return problem.TimeVaryingProblem(
+        problem.LinearPlantMap(G, H),
+        problem.BoxSchedule(lower, upper),
+        problem.CostSchedule(1.0, y_ref, a, b, c, w),
+    )
+
+
+def noisy_config():
+    return algorithm.AlgoConfig(
+        alpha=0.3, p=0.6,
+        eps_sampler=subweibull.gaussian(0.1), xi_sampler=subweibull.weibull_tail(1.5, 0.1),
+        meas_noise=subweibull.gaussian(0.05),
     )
 
 
@@ -119,6 +150,11 @@ def test_run_argument_validation():
         algorithm.run(prob, good, x0=np.zeros(3), n_steps=10)
     with pytest.raises(ValueError, match="infeasible"):
         algorithm.run(prob, good, x0=np.array([10.0, 0.0]), n_steps=10)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="shape"):
+        algorithm.simulate(prob, good, np.zeros((3, 2)), rngs, n_steps=10)
+    with pytest.raises(ValueError, match="availability"):
+        algorithm.simulate(prob, good, None, rngs, n_steps=10, p=[0.5, 0.0])
 
 
 def test_default_start_is_the_box_midpoint():
@@ -152,34 +188,90 @@ def test_after_step_hook_sees_every_step():
     seen = []
     algorithm.run(
         prob, quiet_config(0.2, 0.5, seed=3), n_steps=25,
-        after_step=lambda t, x, rng: seen.append((t, x.copy())),
+        after_step=lambda t, x: seen.append((t, x.copy())),
     )
     assert [t for t, _ in seen] == list(range(1, 26))
     assert all(x.shape == (2,) for _, x in seen)
 
 
-def test_step_function_gating():
-    prob = static_problem()
-    x = np.array([1.0, 1.0])
-    g = np.array([0.5, -0.5])
-    moved = algorithm.step(prob, x, 1, True, g, 0.2)
-    np.testing.assert_allclose(moved, [0.9, 1.1])
-    frozen = algorithm.step(prob, x, 1, False, None, 0.2)
-    np.testing.assert_array_equal(frozen, x)
+def literal_run(prob, cfg, x0, rng, n_steps, input_grad=None):
+    """The update written out step by step from the schedule arrays, drawing
+    per step in the documented order: availability uniform, eps, xi, noise."""
+    G, H = prob.plant.G, prob.plant.H
+    costs, boxes = prob.costs, prob.boxes
+    opt = prob.optimal_points()
+    x = np.array(x0, dtype=float)
+    xs, vs, ds, es = [x], [0], [np.linalg.norm(x - opt[0])], [0.0]
+    for t in range(1, n_steps + 1):
+        u = rng.random()
+        eps = cfg.eps_sampler.sample(rng, G.shape[1])
+        xi = cfg.xi_sampler.sample(rng, G.shape[1])
+        noise = cfg.meas_noise.sample(rng, G.shape[0])
+        u_grad = 2.0 * costs.a[t] * x + costs.b[t]
+        model = u_grad + eps if input_grad is None else input_grad(x, t)
+        es.append(np.linalg.norm(model - u_grad + xi))
+        if u < cfg.p:
+            y_hat = G @ x + H @ costs.w[t - 1] + noise
+            grad = costs.beta * G.T @ (y_hat - costs.y_ref[t]) + model + xi
+            x = x - cfg.alpha * grad
+        x = np.clip(x, boxes.lower[t], boxes.upper[t])
+        xs.append(x)
+        vs.append(int(u < cfg.p))
+        ds.append(np.linalg.norm(x - opt[t]))
+    return np.array(xs), np.array(vs), np.array(ds), np.array(es)
 
 
-def test_noisy_gradient_composition():
-    prob = static_problem()
-    rng = np.random.default_rng(0)
-    x = np.array([0.5, -0.5])
-    y_hat = prob.output(x, 0)
-    grad, err = algorithm.noisy_gradient(
-        prob, x, y_hat, 1, subweibull.zero(), subweibull.zero(), rng
+@pytest.mark.parametrize("learned", [False, True])
+def test_kernel_matches_a_literal_per_step_loop(learned):
+    prob = drifting_problem()
+    cfg = noisy_config()
+    # a deliberately biased model term, so the input_grad path carries its own error
+    hook = (lambda x, t: 1.1 * prob.u_gradient(x, t) + 0.05) if learned else None
+    x0 = np.array([[0.0, 0.0, 0.0], [0.4, 0.2, -1.0], [-0.5, -0.3, 0.3]])
+    seeds = (3, 4, 5)
+    trajs = algorithm.simulate(
+        prob, cfg, x0, [np.random.default_rng(s) for s in seeds], n_steps=50, input_grad=hook,
     )
-    np.testing.assert_allclose(err, 0.0)
-    np.testing.assert_allclose(
-        grad, prob.tracking_gradient(y_hat, 1) + prob.u_gradient(x, 1), rtol=1e-14
+    for traj, start, seed in zip(trajs, x0, seeds):
+        x, v, d, e = literal_run(
+            prob, cfg, start, np.random.default_rng(seed), 50, input_grad=hook
+        )
+        assert 0 < v.sum() < 50
+        np.testing.assert_array_equal(traj.v, v)
+        np.testing.assert_allclose(traj.x, x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.d, d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.e_norm, e, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_runs=st.integers(1, 8),
+    n_steps=st.integers(1, 40),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=8, max_size=8),
+    ps=st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8),
+)
+def test_batch_rows_are_their_own_runs(n_runs, n_steps, seeds, ps):
+    prob = drifting_problem()
+    cfg = noisy_config()
+    seeds, ps = seeds[:n_runs], ps[:n_runs]
+    batch = algorithm.simulate(
+        prob, cfg, None, [np.random.default_rng(s) for s in seeds], n_steps=n_steps, p=ps,
     )
+    for traj, seed, p in zip(batch, seeds, ps):
+        alone = algorithm.run(
+            prob, replace(cfg, p=p), n_steps=n_steps, rng=np.random.default_rng(seed)
+        )
+        for name in ("x", "v", "d", "e_norm", "grad"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+        steps = np.arange(n_steps + 1)
+        assert np.all(traj.x >= prob.boxes.lower[steps]) and np.all(traj.x <= prob.boxes.upper[steps])
+    # runs sharing one stream see every measurement a smaller p sees
+    shared = algorithm.simulate(
+        prob, cfg, None, [np.random.default_rng(seeds[0]) for _ in ps], n_steps=n_steps, p=ps,
+    )
+    order = np.argsort(ps, kind="stable")
+    for lo, hi in zip(order[:-1], order[1:]):
+        assert np.all(shared[hi].v >= shared[lo].v)
 
 
 def test_trajectory_record_and_csv(tmp_path):

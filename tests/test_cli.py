@@ -130,6 +130,18 @@ def test_validate_bounds_small_run(tmp_path, capsys):
     assert all(line.split(",")[1] == "1" for line in report[1:])
 
 
+def test_validate_bounds_report_is_the_same_at_any_jobs(tmp_path):
+    cfg = ini(tmp_path, TINY_VALIDATION)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"val{jobs}"
+        assert cli.main(
+            ["validate-bounds", "--config", cfg, "--out", str(out), "--jobs", jobs]
+        ) == 0
+        reports.append((out / "validation_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_bound_curve_exports(tmp_path):
     cfg = ini(tmp_path, "[validation]\nn_steps = 40\ncheck_times = 10, 40\n")
     out = tmp_path / "curves"

@@ -25,9 +25,9 @@ def main() -> None:
 
     result = scenario.run_suite(cfg)
 
-    print(f"\nfinal plateau (mean error over the last 300 steps):")
-    print(f"{'p':>6} {'exact':>8} {'learned':>9}")
     window = min(300, cfg.horizon // 4)
+    print(f"\nfinal plateau (mean error over the last {window} steps):")
+    print(f"{'p':>6} {'exact':>8} {'learned':>9}")
     for p in cfg.p_values:
         row = [result.plateau(p, mode, window=window) for mode in cfg.modes]
         print(f"{p:>6g} {row[0]:>8.3f} {row[1]:>9.3f}")

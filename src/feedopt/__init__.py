@@ -14,7 +14,9 @@ matching analysis tools:
 * ``bounds``      -- evaluators for the expectation and high-probability
   tracking-error envelopes implied by the noise certificates,
 * ``gplearn``     -- Gaussian-process regression used to learn unknown cost
-  components from sparse functional evaluations while the loop is running,
+  components from sparse functional evaluations while the loop is running:
+  one posterior object holds a batch of scalar GPs (one per run and
+  coordinate) and returns their mean-gradients in one call,
 * ``scenario``    -- a demand-response study with switching preferences,
 * ``validation``  -- Monte Carlo checks that the envelopes actually dominate
   simulated ensembles,

@@ -70,16 +70,14 @@ class Trajectory:
     ``v[t]`` is the availability indicator consumed at update ``t``
     (``v[0] = 0``: no update produces the initial point).  ``e_norm[t]`` is
     the norm of the gradient error drawn at step ``t`` whether or not the
-    update consumed it, and ``grad[t]`` is the gradient estimate actually
-    applied (zeros on skipped updates).  ``d[t]`` is the distance to the
-    step-``t`` constrained optimum.
+    update consumed it.  ``d[t]`` is the distance to the step-``t``
+    constrained optimum.
     """
 
     x: np.ndarray
     v: np.ndarray
     d: np.ndarray
     e_norm: np.ndarray
-    grad: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -104,7 +102,7 @@ def _fmt(value: float) -> str:
 
 def _rowsum(P):
     """Sum over the last axis in a fixed order, so no row depends on the batch."""
-    total = P[..., 0]
+    total = P[..., 0] if P.shape[-1] else np.zeros(P.shape[:-1])
     for j in range(1, P.shape[-1]):
         total = total + P[..., j]
     return total
@@ -164,7 +162,6 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
     v = np.zeros((n_runs, n_steps + 1), dtype=np.int8)
     d = np.empty((n_runs, n_steps + 1))
     e_norm = np.zeros((n_runs, n_steps + 1))
-    grad_used = np.zeros((n_runs, n_steps + 1, m))
     x[:, 0] = x0
     d[:, 0] = np.sqrt(_rowsum((x0 - optima[0]) ** 2))
     u, noise = np.empty(n_runs), np.empty((n_runs, n_out))
@@ -188,13 +185,12 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
         e_norm[:, t] = np.sqrt(_rowsum(err**2))
         y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise
         grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi
-        grad_used[avail, t] = grad[avail]
         v[:, t] = avail
         x[:, t] = prob.project(np.where(avail[:, None], x_prev - cfg.alpha * grad, x_prev), t)
         d[:, t] = np.sqrt(_rowsum((x[:, t] - optima[t]) ** 2))
         if after_step is not None:
             after_step(t, x[:, t])
-    return [Trajectory(x[r], v[r], d[r], e_norm[r], grad_used[r]) for r in range(n_runs)]
+    return [Trajectory(x[r], v[r], d[r], e_norm[r]) for r in range(n_runs)]
 
 
 def run(prob, cfg, x0=None, n_steps=None, input_grad=None, after_step=None, rng=None):

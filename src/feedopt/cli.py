@@ -9,9 +9,9 @@ Four subcommands, all driven by one INI config file:
   check fails.
 * ``bound-curve``     -- exports the expectation, asymptotic and
   high-probability envelopes as CSV curves.
-* ``gp-demo``         -- fits the per-coordinate cost learners on the
-  scenario's initial costs and reports gradient accuracy on a grid
-  (``--config`` optional, built-in defaults apply).
+* ``gp-demo``         -- fits the batched cost learner (one GP per
+  coordinate) on the scenario's initial costs and reports gradient accuracy
+  on a grid (``--config`` optional, built-in defaults apply).
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 a validation
 check failed, 3 unexpected runtime or numerical failure.  All outputs are
@@ -251,37 +251,37 @@ def _cmd_gp_demo(args) -> int:
     _echo_config(args.out, scen, val)
     prob = scenario.build_scenario(scen)
     rng = np.random.default_rng(np.random.SeedSequence(scen.seed, spawn_key=(2,)))
-    gps = scenario.seed_cost_learners(prob, scen, rng)
+    learner = scenario.seed_cost_learners(prob, scen, [rng])
     n_grid = 101
-    worst_fd = 0.0
+    lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
+    grid = np.linspace(lo, up, n_grid, axis=-1)  # one row of queries per coordinate
+    h = ((up - lo) * 1e-6)[:, None]
+    queries = grid[None]  # the learner's batch is (1, m)
+    mean = learner.posterior_mean(queries)[0]
+    var = learner.posterior_var(queries)[0]
+    grad = learner.mean_gradient(queries)[0]
+    fd = (learner.posterior_mean(queries + h) - learner.posterior_mean(queries - h))[0] / (2.0 * h)
+    coords = np.arange(prob.n_inputs)[:, None]
+    true_u = scenario.coordinate_cost(prob, coords, grid, 0)
+    true_du = 2.0 * prob.costs.a[0, coords] * grid + prob.costs.b[0, coords]
     with open(os.path.join(args.out, "gp_demo.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["coord", "x", "true_u", "true_du", "gp_mean", "gp_var", "gp_grad"])
-        for m, gp in enumerate(gps):
-            lo = float(prob.boxes.lower[0, m])
-            up = float(prob.boxes.upper[0, m])
-            grid = np.linspace(lo, up, n_grid)
-            mean = gp.posterior_mean(grid)
-            var = gp.posterior_var(grid)
-            grad = gp.mean_gradient(grid)
-            h = (up - lo) * 1e-6
-            fd = (gp.posterior_mean(grid + h) - gp.posterior_mean(grid - h)) / (2.0 * h)
-            worst_fd = max(worst_fd, float(np.max(np.abs(grad - fd))))
-            true_u = np.array([scenario.coordinate_cost(prob, m, g, 0) for g in grid])
-            true_du = 2.0 * prob.costs.a[0, m] * grid + prob.costs.b[0, m]
-            err = float(np.max(np.abs(grad - true_du)))
+        for m in range(prob.n_inputs):
+            err = float(np.max(np.abs(grad[m] - true_du[m])))
             print(
-                f"coordinate {m}: {gp.n_obs} observations, "
+                f"coordinate {m}: {learner.n_obs} observations, "
                 f"max |gp grad - true grad| over the box = {err:.4g}"
             )
             for i in range(n_grid):
                 writer.writerow(
                     [m]
                     + [
-                        format(float(v), ".15g")
-                        for v in (grid[i], true_u[i], true_du[i], mean[i], var[i], grad[i])
+                        format(float(v[m, i]), ".15g")
+                        for v in (grid, true_u, true_du, mean, var, grad)
                     ]
                 )
+    worst_fd = float(np.max(np.abs(grad - fd)))
     print(f"analytic gradient vs central difference: max deviation {worst_fd:.3g}")
     return 0
 

@@ -8,10 +8,11 @@ each resource carries a private quadratic cost that alternates between
 two preference profiles at the configured switch steps.  Output
 measurements arrive with probability ``p``; the private costs are either
 known exactly (``exact`` mode) or learned online from sparse functional
-evaluations with per-coordinate Gaussian processes (``gp`` mode).  Owners
-signal profile changes, so the learner keeps one dataset per profile and
-data recorded under the outgoing profile never contaminates the posterior
-used while the other one is active.
+evaluations (``gp`` mode) by one batched learner holding a scalar Gaussian
+process for every run and coordinate.  Owners signal profile changes, so
+there is one learner per profile, and data recorded under the outgoing
+profile never contaminates the posterior used while the other one is
+active.
 
 Everything is generated from one seed: the instance, the starting points,
 the measurement pattern and the noise.  Runs with the same seed and
@@ -212,33 +213,34 @@ def build_scenario(cfg: ScenarioConfig, rng=None) -> problem.TimeVaryingProblem:
     return prob
 
 
-def coordinate_cost(prob: problem.TimeVaryingProblem, m: int, x: float, t: int) -> float:
-    """The separable input cost of one coordinate, ``a_t[m] x^2 + b_t[m] x + c_t[m]``."""
+def coordinate_cost(prob: problem.TimeVaryingProblem, m, x, t: int):
+    """The separable input cost ``a_t[m] x^2 + b_t[m] x + c_t[m]`` at ``x``;
+    ``m`` is an index, a slice or an index array that broadcasts with ``x``."""
     costs = prob.costs
-    return float(costs.a[t, m] * x * x + costs.b[t, m] * x + costs.c[t, m])
+    return costs.a[t, m] * x * x + costs.b[t, m] * x + costs.c[t, m]
 
 
-def seed_cost_learners(prob, cfg, rng_obs):
-    """One freshly seeded learner per coordinate, from noisy evaluations at
-    uniform sites in the step-0 box."""
-    gps = []
-    for m in range(prob.n_inputs):
-        lo = float(prob.boxes.lower[0, m])
-        up = float(prob.boxes.upper[0, m])
-        ell = cfg.gp_ell if cfg.gp_ell is not None else (up - lo) / 2.0
-        noise_var = cfg.gp_noise_var if cfg.gp_noise_var is not None else cfg.obs_noise_sigma**2
-        sites = rng_obs.uniform(lo, up, cfg.gp_seed_obs)
-        values = np.array([coordinate_cost(prob, m, s, 0) for s in sites])
-        values += cfg.obs_noise_sigma * rng_obs.standard_normal(cfg.gp_seed_obs)
-        if cfg.gp_sigma_f2 is not None:
-            sigma_f2 = cfg.gp_sigma_f2
-        else:
-            # prior variance matched to the observed cost spread, so the
-            # posterior is not shrunk toward zero on costs of large magnitude
-            sigma_f2 = max(float(np.var(values)), 1.0)
-        kernel = gplearn.SquaredExponential(sigma_f2, ell)
-        gps.append(gplearn.GPPosterior(kernel, noise_var, sites, values))
-    return gps
+def seed_cost_learners(prob, cfg, rngs) -> gplearn.GPPosterior:
+    """A learner of batch ``(len(rngs), m)`` seeded with noisy evaluations at
+    uniform sites in the step-0 box; each generator draws, coordinate by
+    coordinate, the sites and then their noise."""
+    lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
+    shape = (len(rngs), prob.n_inputs, cfg.gp_seed_obs)
+    sites, values = np.empty(shape), np.empty(shape)
+    for r, rng in enumerate(rngs):
+        for m in range(prob.n_inputs):
+            sites[r, m] = rng.uniform(lo[m], up[m], cfg.gp_seed_obs)
+            values[r, m] = coordinate_cost(prob, m, sites[r, m], 0)
+            values[r, m] += cfg.obs_noise_sigma * rng.standard_normal(cfg.gp_seed_obs)
+    ell = cfg.gp_ell if cfg.gp_ell is not None else (up - lo) / 2.0
+    noise_var = cfg.gp_noise_var if cfg.gp_noise_var is not None else cfg.obs_noise_sigma**2
+    if cfg.gp_sigma_f2 is not None:
+        sigma_f2 = cfg.gp_sigma_f2
+    else:
+        # prior variance matched to the observed cost spread, so the
+        # posterior is not shrunk toward zero on costs of large magnitude
+        sigma_f2 = np.maximum(np.var(values, axis=-1), 1.0)
+    return gplearn.GPPosterior(gplearn.SquaredExponential(sigma_f2, ell), noise_var, sites, values)
 
 
 def active_profile(switch_steps, t: int) -> int:
@@ -255,15 +257,15 @@ def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
     drives the cost evaluations for the learner, so ``exact`` and ``gp``
     runs of the same experiment, at any ``p``, see identical sample paths.
 
-    In ``gp`` mode each run has its own learner, and the owners signal
-    profile changes, so the learner holds one dataset per profile, each
-    starting from the initial profiling samples.  Evaluations recorded under
-    one profile never enter the posterior used while the other is active;
-    when a profile returns, its accumulated dataset is restored.  The
-    kernel hooks loop over the runs: ``input_grad(X, t)`` stacks each run's
-    posterior mean-gradient at its own iterate, and ``after_step(t, X)``
-    records every ``eval_period`` steps one noisy evaluation per run and
-    coordinate at the run's new iterate.  Returns one trajectory per run.
+    In ``gp`` mode every run has its own GPs, one per coordinate, held in
+    one learner of batch ``(R, m)``.  The owners signal profile changes, so
+    there are two learners, one per profile, each starting from the initial
+    profiling samples.  Evaluations recorded under one profile never enter
+    the posterior used while the other is active; when a profile returns,
+    its accumulated dataset is restored.  ``input_grad(X, t)`` is the active
+    learner's posterior mean-gradient at the iterates, and ``after_step(t,
+    X)`` records every ``eval_period`` steps one noisy evaluation per run
+    and coordinate at the new iterates.  Returns one trajectory per run.
     """
     if mode not in ("exact", "gp"):
         raise ValueError(f"mode must be 'exact' or 'gp', got {mode!r}")
@@ -276,25 +278,18 @@ def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
     acfg = algo_config(cfg, ps[0])  # the kernel takes each run's own p from ``ps``
     hooks = {}
     if mode == "gp":
-        archives = []
-        for rng in rng_obs:
-            seeded = seed_cost_learners(prob, cfg, rng)
-            archives.append({0: list(seeded), 1: list(seeded)})
+        learners = [seed_cost_learners(prob, cfg, rng_obs)] * 2
 
         def input_grad(X, t):
-            k = active_profile(cfg.switch_steps, t)
-            return np.array([gplearn.estimate_U_gradient(a[k], x) for a, x in zip(archives, X)])
+            return learners[active_profile(cfg.switch_steps, t)].mean_gradient(X)
 
         def observe(t, X):
             if t % cfg.eval_period:
                 return
             k = active_profile(cfg.switch_steps, t)
-            for archive, rng, x_t in zip(archives, rng_obs, X):
-                current = archive[k]
-                for m in range(prob.n_inputs):
-                    z = coordinate_cost(prob, m, float(x_t[m]), t)
-                    z += cfg.obs_noise_sigma * rng.standard_normal()
-                    current[m] = current[m].add_observation(float(x_t[m]), z, max_obs=cfg.gp_max_obs)
+            noise = np.array([rng.standard_normal(prob.n_inputs) for rng in rng_obs])
+            z = coordinate_cost(prob, slice(None), X, t) + cfg.obs_noise_sigma * noise
+            learners[k] = learners[k].add_observation(X, z, max_obs=cfg.gp_max_obs)
 
         hooks = {"input_grad": input_grad, "after_step": observe}
     return algorithm.simulate(prob, acfg, x0, rng_main, n_steps=cfg.horizon, p=ps, **hooks)

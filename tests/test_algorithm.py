@@ -98,7 +98,6 @@ def test_skipped_updates_leave_the_iterate_in_place():
     for t in skipped:
         # static box: re-projection changes nothing
         np.testing.assert_array_equal(traj.x[t], traj.x[t - 1])
-        np.testing.assert_array_equal(traj.grad[t], 0.0)
         # the noise stream is still consumed and recorded
         assert traj.e_norm[t] > 0.0
 
@@ -261,7 +260,7 @@ def test_batch_rows_are_their_own_runs(n_runs, n_steps, seeds, ps):
         alone = algorithm.run(
             prob, replace(cfg, p=p), n_steps=n_steps, rng=np.random.default_rng(seed)
         )
-        for name in ("x", "v", "d", "e_norm", "grad"):
+        for name in ("x", "v", "d", "e_norm"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
         steps = np.arange(n_steps + 1)
         assert np.all(traj.x >= prob.boxes.lower[steps]) and np.all(traj.x <= prob.boxes.upper[steps])

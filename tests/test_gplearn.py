@@ -1,7 +1,9 @@
-"""Scalar GP regression: posterior formulas, analytic gradient, windowing."""
+"""GP regression: posterior formulas, analytic gradient, windowing, batching."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedopt import gplearn
 
@@ -33,7 +35,6 @@ def test_empty_posterior_is_the_prior():
     assert gp.posterior_mean(0.7) == 0.0
     assert gp.posterior_var(0.7) == pytest.approx(2.0)
     assert gp.mean_gradient(0.7) == 0.0
-    np.testing.assert_allclose(gp.posterior_cov(np.array([0.0, 1.0])), KER.gram([0.0, 1.0]))
 
 
 def test_single_observation_closed_form():
@@ -103,9 +104,6 @@ def test_posterior_shapes_scalar_and_array():
     assert gp.posterior_mean(grid).shape == (7,)
     assert gp.posterior_var(grid).shape == (7,)
     assert gp.mean_gradient(grid).shape == (7,)
-    cov = gp.posterior_cov(grid)
-    assert cov.shape == (7, 7)
-    np.testing.assert_allclose(np.diag(cov), gp.posterior_var(grid), atol=1e-10)
 
 
 def test_duplicate_sites_with_zero_noise_survive_via_jitter():
@@ -120,12 +118,52 @@ def test_posterior_validation():
         gplearn.GPPosterior(KER, 0.1, [0.0, 1.0], [1.0])
 
 
-def test_estimate_U_gradient_stacks_per_coordinate():
-    rng = np.random.default_rng(2)
-    gps = [random_posterior(rng, 4) for _ in range(3)]
-    x = np.array([0.1, -0.4, 1.2])
-    out = gplearn.estimate_U_gradient(gps, x)
-    expected = [gp.mean_gradient(float(v)) for gp, v in zip(gps, x)]
-    np.testing.assert_allclose(out, expected)
-    with pytest.raises(ValueError, match="dimension"):
-        gplearn.estimate_U_gradient(gps, np.zeros(2))
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.lists(st.integers(1, 6), min_size=0, max_size=2).map(tuple).filter(
+        lambda b: len(b) < 2 or b[0] <= 4
+    ),
+    n_seed=st.integers(0, 10),
+    n_added=st.integers(0, 2),
+    max_obs=st.one_of(st.none(), st.integers(2, 8)),
+    n_queries=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_gps_equal_the_same_gps_alone(batch, n_seed, n_added, max_obs, n_queries, seed):
+    # q runs over 0..12 sites; each GP has its own hyperparameters and data
+    rng = np.random.default_rng(seed)
+    kernel = gplearn.SquaredExponential(rng.uniform(0.5, 4.0, batch), rng.uniform(0.3, 2.0, batch))
+    noise_var = float(rng.uniform(1e-4, 0.3))
+    sites = rng.uniform(-3.0, 3.0, batch + (n_seed,))
+    values = np.sin(sites) + 0.3 * sites**2 + rng.standard_normal(sites.shape)
+    added = rng.uniform(-3.0, 3.0, (n_added, 2) + batch)
+    learner = gplearn.GPPosterior(kernel, noise_var, sites, values)
+    for x, z in added:
+        learner = learner.add_observation(x, z, max_obs=max_obs)
+    assert learner.batch_shape == batch
+    # one point per GP, as the kernel step queries, and a row of points per GP
+    for queries in (rng.uniform(-3.5, 3.5, batch), rng.uniform(-3.5, 3.5, batch + (n_queries,))):
+        methods = (learner.posterior_mean, learner.posterior_var, learner.mean_gradient)
+        results = [fn(queries) for fn in methods]
+        for idx in np.ndindex(*batch):
+            alone = gplearn.GPPosterior(
+                gplearn.SquaredExponential(kernel.sigma_f2[idx], kernel.ell[idx]),
+                noise_var, sites[idx], values[idx],
+            )
+            for x, z in added:
+                alone = alone.add_observation(x[idx], z[idx], max_obs=max_obs)
+            assert alone.batch_shape == () and alone.n_obs == learner.n_obs
+            expected = (alone.posterior_mean, alone.posterior_var, alone.mean_gradient)
+            for batched, fn in zip(results, expected):
+                np.testing.assert_array_equal(np.asarray(batched)[idx], fn(queries[idx]))
+
+
+def test_batch_shape_validation():
+    learner = gplearn.GPPosterior(KER, 0.1, np.zeros((2, 3, 0)), np.zeros((2, 3, 0)))
+    assert learner.batch_shape == (2, 3) and learner.n_obs == 0
+    with pytest.raises(ValueError, match="batch shape"):
+        learner.mean_gradient(np.zeros(3))
+    with pytest.raises(ValueError):
+        learner.add_observation(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="batch shape"):
+        gplearn.GPPosterior(KER, 0.1, np.zeros((2, 3)), np.zeros((3, 2)))

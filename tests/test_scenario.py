@@ -118,22 +118,21 @@ def test_algo_config_sampler_mapping():
 def test_seed_cost_learners_defaults():
     cfg = TINY
     prob = scenario.build_scenario(cfg)
-    rng = np.random.default_rng(0)
-    gps = scenario.seed_cost_learners(prob, cfg, rng)
-    assert len(gps) == prob.n_inputs
-    for m, gp in enumerate(gps):
-        assert gp.n_obs == cfg.gp_seed_obs
+    learner = scenario.seed_cost_learners(prob, cfg, [np.random.default_rng(0)])
+    assert learner.batch_shape == (1, prob.n_inputs)
+    assert learner.n_obs == cfg.gp_seed_obs
+    for m in range(prob.n_inputs):
         width = float(prob.boxes.upper[0, m] - prob.boxes.lower[0, m])
-        assert gp.kernel.ell == pytest.approx(width / 2.0)
-        assert gp.noise_var == pytest.approx(cfg.obs_noise_sigma**2)
-        assert gp.kernel.sigma_f2 >= 1.0
+        assert learner.kernel.ell[m] == pytest.approx(width / 2.0)
+    assert learner.noise_var == pytest.approx(cfg.obs_noise_sigma**2)
+    assert np.all(learner.kernel.sigma_f2 >= 1.0)
     fixed = scenario.seed_cost_learners(
         prob, replace(cfg, gp_ell=0.7, gp_sigma_f2=4.0, gp_noise_var=0.3),
-        np.random.default_rng(0),
+        [np.random.default_rng(0)],
     )
-    assert fixed[0].kernel.ell == 0.7
-    assert fixed[0].kernel.sigma_f2 == 4.0
-    assert fixed[0].noise_var == 0.3
+    assert fixed.kernel.ell == 0.7
+    assert fixed.kernel.sigma_f2 == 4.0
+    assert fixed.noise_var == 0.3
 
 
 def test_run_experiment_pairs_modes_and_validates():
@@ -156,13 +155,13 @@ def test_learner_datasets_are_kept_per_profile(monkeypatch):
     cfg = TINY  # switches at 20 and 40, evaluations every 5 steps
     prob = scenario.build_scenario(cfg)
     seen = {}
-    real = gplearn.estimate_U_gradient
+    real = gplearn.GPPosterior.mean_gradient
 
-    def spy(gps, x):
-        seen[len(seen) + 1] = gps[0].n_obs
-        return real(gps, x)
+    def spy(learner, xs):
+        seen[len(seen) + 1] = learner.n_obs
+        return real(learner, xs)
 
-    monkeypatch.setattr(gplearn, "estimate_U_gradient", spy)
+    monkeypatch.setattr(gplearn.GPPosterior, "mean_gradient", spy)
     scenario.run_experiment(prob, cfg, 1.0, "gp", 0)
     seeds = cfg.gp_seed_obs
     # queries happen before the step's own evaluation is recorded
@@ -172,6 +171,18 @@ def test_learner_datasets_are_kept_per_profile(monkeypatch):
     assert seen[39] == seeds + 4     # its own evals at t=20,25,30,35
     assert seen[40] == seeds + 3     # profile 0 restored, nothing from phase two
     assert seen[45] == seeds + 4     # and it keeps growing from its own history
+
+
+def test_batched_gp_runs_are_their_own_runs():
+    # a windowed learner, so refits drop old sites as well as add new ones
+    cfg = replace(TINY, gp_max_obs=3)
+    prob = scenario.build_scenario(cfg)
+    runs = [(p, e) for p in cfg.p_values for e in range(cfg.n_experiments)]
+    batch = scenario.run_experiments(prob, cfg, "gp", runs)
+    for (p, e), traj in zip(runs, batch):
+        alone = scenario.run_experiment(prob, cfg, p, "gp", e)
+        for name in ("x", "v", "d", "e_norm"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
 
 
 def test_suite_statistics_and_parallel_determinism():

@@ -34,7 +34,6 @@ splits the runs over worker processes.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -86,18 +85,13 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Rows ``t, v, d_t, e_norm, x_1..x_M`` with 15 significant digits."""
         m = self.x.shape[1]
+        header = ["t", "v", "d_t", "e_norm"] + [f"x_{j + 1}" for j in range(m)]
+        row = "{:d},{:d}" + ",{:.15g}" * (2 + m) + "\n"
+        columns = (range(self.x.shape[0]), self.v.tolist(), self.d.tolist(), self.e_norm.tolist())
+        rows = zip(*columns, *self.x.T.tolist())
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "v", "d_t", "e_norm"] + [f"x_{j + 1}" for j in range(m)])
-            for t in range(self.x.shape[0]):
-                writer.writerow(
-                    [t, int(self.v[t]), _fmt(self.d[t]), _fmt(self.e_norm[t])]
-                    + [_fmt(val) for val in self.x[t]]
-                )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".15g")
+            fh.write(",".join(header) + "\n")
+            fh.writelines(row.format(*r) for r in rows)
 
 
 def _rowsum(P):

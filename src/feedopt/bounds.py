@@ -31,11 +31,15 @@ per-step certificate scale ``nu_e_t``, then with probability ``1 - delta``
            * ( eta(t) d_0 + (1 - zeta^t)/(1 - zeta)
                * sup_i { alpha nu_e_i + phi_i / p } ),
     theta_x = max(1, theta_eps, theta_xi),
-    eta(t) = max_{1<=k} (1 - p + zeta^k p)^{t/k} / sqrt(k),
+    eta(t) = sup_{real k >= 1} (1 - p + zeta^k p)^{t/k} / sqrt(k),
 
 with ``zeta`` the running supremum of the realized rates.  The fractional
 moment ``(1 - p + zeta^k p)^{t/k}`` is exactly the k-th moment norm of
-``zeta^Omega_t`` for a Binomial(t, p) count of updates.
+``zeta^Omega_t`` for a Binomial(t, p) count of updates.  :func:`log_eta`
+evaluates ``ln eta(t)`` for a whole curve at once: the maximiser over real
+``k`` lies in the proven bracket ``[1, max(1, 2t ln(1/(1-p)))]``, where it
+is either ``k = 1`` or the one interior local maximum, found by a monotone
+Newton iteration in log space.
 """
 
 from __future__ import annotations
@@ -54,8 +58,7 @@ __all__ = [
     "expectation_bound",
     "expectation_bound_asymptotic",
     "hp_bound_trajectory",
-    "eta",
-    "eta_maximizer",
+    "log_eta",
     "binomial_moment",
     "expected_error_norm",
     "effective_tracking_error_class",
@@ -141,19 +144,13 @@ class BoundCurve:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        import csv
-
+        """Rows ``t, bound, transient_term, path_term, error_term`` with 15
+        significant digits."""
+        cols = (self.value, self.transient, self.path_term, self.error_term)
+        rows = zip(self.t.tolist(), *(col.tolist() for col in cols))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "bound", "transient_term", "path_term", "error_term"])
-            for i in range(self.t.shape[0]):
-                writer.writerow(
-                    [int(self.t[i])]
-                    + [
-                        format(float(col[i]), ".15g")
-                        for col in (self.value, self.transient, self.path_term, self.error_term)
-                    ]
-                )
+            fh.write("t,bound,transient_term,path_term,error_term\n")
+            fh.writelines("{:d},{:.15g},{:.15g},{:.15g},{:.15g}\n".format(*r) for r in rows)
 
 
 def _check_horizon(inputs: BoundInputs, n_steps) -> int:
@@ -222,35 +219,91 @@ def expectation_bound_asymptotic(inputs: BoundInputs, n_steps=None) -> BoundCurv
     )
 
 
-def eta(t: int, p: float, zeta_sup: float, k_max: int) -> float:
-    """Transient gain ``max_{1<=k<=k_max} (1 - p + zeta^k p)^{t/k} / sqrt(k)``.
+# Newton steps toward the interior maximiser stop once below this share of k.
+# The cap lies well past the ~50 steps that halving the distance per step
+# (a double root) would need from K_t; random inputs take at most 12.
+_NEWTON_RTOL = 1e-15
+_NEWTON_CAP = 200
 
-    The exact gain is a supremum over all real ``k >= 1``; an integer grid
-    up to ``k_max`` is used, which matches the supremum whenever the
-    maximizer is interior (it is for every configuration exercised here,
-    see :func:`eta_maximizer`).
+
+def log_eta(t, p: float, zeta):
+    """Natural log of the transient gain
+    ``eta(t) = sup_{real k >= 1} (1 - p + p zeta^k)^{t/k} / sqrt(k)``,
+    elementwise over ``t`` and ``zeta`` (broadcast together).
+
+    Write ``L(k) = ln(1 - p + p zeta^k)`` and
+    ``h(k) = (t/k) L(k) - ln(k)/2``, so that ``log_eta = sup_k h(k)``.
+
+    (a) Bracket.  ``h'(k) = (t r(k) - k/2) / k^2`` with ``r = k L' - L``,
+        and ``r`` lies in ``[0, ln(1/(1-p)))``.  So ``h`` decreases for
+        ``k >= K_t = 2 t ln(1/(1-p))`` and the maximiser lies in
+        ``[1, max(1, K_t)]``.
+    (b) Shape.  ``r' = k L''`` is ``k`` times a logistic density in ``k``,
+        hence log-concave and unimodal, so ``g = t r - k/2`` (the sign of
+        ``h'``) changes sign at most in the pattern -, +, -.  The supremum
+        is the larger of ``h(1)`` and ``h`` at the one interior local
+        maximum, the largest root ``z`` of ``g``.
+    (c) Cell bound.  ``psi = L/k`` is nondecreasing (``L`` is convex with
+        ``L(0) = 0``), so on any cell ``[a, b]``
+        ``h <= t psi(b) - ln(a)/2``; a grid search can be certified with
+        it (the method below needs no grid).
+    (d) ``p = 1``.  The supremum is ``t ln(zeta)``, at ``k = 1``.
+
+    Method.  ``z`` lies past the mode of ``r'``, where ``g`` is concave, and
+    ``g`` decreases on ``[z, oo)``.  Newton's method on ``g`` started at
+    ``K_t`` (where ``g < 0``) therefore decreases monotonically to ``z``
+    without overshooting it; if it meets ``g' >= 0`` or falls below
+    ``k = 1``, no interior maximum lies in ``(1, K_t)``.  Every iterate is
+    a point ``k >= 1``, so ``h`` there is a lower value of the supremum,
+    and the result is the largest of them and ``h(1)``.  ``L`` is taken
+    from ``k ln(zeta)`` with ``expm1``/``log1p``/``logaddexp`` (see
+    :func:`_log_base`), so nothing underflows at large ``t`` or small
+    ``zeta``, and no ``(t, k)`` array is built.  Each element iterates on
+    its own, so a vectorised call equals elementwise calls bit for bit.
+    Raises ``RuntimeError`` if the search has not converged after
+    ``_NEWTON_CAP`` steps.
     """
-    vals = _eta_values(t, p, zeta_sup, k_max)
-    return float(vals.max())
-
-
-def eta_maximizer(t: int, p: float, zeta_sup: float, k_max: int) -> int:
-    """The grid index attaining :func:`eta` (useful to confirm interiority)."""
-    vals = _eta_values(t, p, zeta_sup, k_max)
-    return int(np.argmax(vals)) + 1
-
-
-def _eta_values(t, p, zeta_sup, k_max) -> np.ndarray:
-    if t < 1:
-        raise ValueError(f"eta is defined for t >= 1, got {t}")
+    t, zeta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(zeta, dtype=float))
+    shape = t.shape
+    t, zeta = t.ravel(), zeta.ravel()
+    if not np.all(np.isfinite(t) & (t >= 1)):
+        raise ValueError("eta is defined for finite t >= 1")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"availability probability must lie in (0, 1], got {p}")
-    if not 0.0 < zeta_sup < 1.0:
-        raise ValueError(f"contraction factor must lie in (0, 1), got {zeta_sup}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    k = np.arange(1, k_max + 1, dtype=float)
-    return (1.0 - p + p * zeta_sup**k) ** (t / k) / np.sqrt(k)
+    if not np.all((zeta > 0.0) & (zeta < 1.0)):
+        raise ValueError("contraction factor must lie in (0, 1)")
+    log_zeta = np.log(zeta)
+    if p == 1.0:
+        return (t * log_zeta).reshape(shape)[()]
+    best = t * _log_base(1.0, log_zeta, p)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    k = -2.0 * log_q * t  # K_t of (a)
+    live = np.flatnonzero(k > 1.0)
+    for _ in range(_NEWTON_CAP):
+        if live.size == 0:
+            break
+        kk, tt, lz = k[live], t[live], log_zeta[live]
+        base = _log_base(kk, lz, p)
+        best[live] = np.maximum(best[live], tt * base / kk - 0.5 * np.log(kk))
+        sigma = np.exp(log_p + kk * lz - base)  # p zeta^k / (1 - p + p zeta^k)
+        g = tt * (kk * lz * sigma - base) - 0.5 * kk
+        slope = tt * kk * lz * lz * sigma * np.exp(log_q - base) - 0.5
+        step = g / slope
+        k[live] = kk - step
+        live = live[(slope < 0.0) & (step > _NEWTON_RTOL * kk) & (k[live] > 1.0)]
+    if live.size:
+        raise RuntimeError(f"eta search did not converge in {_NEWTON_CAP} steps (p={p})")
+    return best.reshape(shape)[()]
+
+
+def _log_base(k, log_zeta, p: float):
+    """``ln(1 - p + p zeta^k)`` for ``p < 1``, accurate to a few ulps:
+    ``log1p(p expm1(k ln zeta))`` while the base is at least 1/2, else the
+    ``logaddexp`` of ``ln(1 - p)`` and ``ln p + k ln zeta``."""
+    x = p * np.expm1(k * log_zeta)
+    near_one = np.log1p(np.maximum(x, -0.5))
+    far = np.logaddexp(math.log1p(-p), math.log(p) + k * log_zeta)
+    return np.where(x >= -0.5, near_one, far)
 
 
 def binomial_moment(zeta_val: float, p: float, t: int, k: float) -> float:
@@ -267,7 +320,7 @@ def binomial_moment(zeta_val: float, p: float, t: int, k: float) -> float:
     return float((1.0 - p + p * zeta_val**k) ** (t / k))
 
 
-def hp_bound_trajectory(inputs: BoundInputs, n_steps=None, k_max=None) -> BoundCurve:
+def hp_bound_trajectory(inputs: BoundInputs, n_steps=None) -> BoundCurve:
     """High-probability envelope at level ``1 - inputs.delta``.
 
     ``value[t]`` uses the joint supremum ``sup_i {alpha nu_e_i + phi_i/p}``
@@ -275,7 +328,8 @@ def hp_bound_trajectory(inputs: BoundInputs, n_steps=None, k_max=None) -> BoundC
     that supremum into its two individual pieces, so their sum can exceed
     ``value - transient``.  The drift sequence is padded with a trailing
     zero so the final error scale still enters the supremum at ``t = T``.
-    ``k_max`` defaults to ``max(t, 100)`` per evaluation point.
+    ``eta(t)`` is the supremum over real ``k >= 1`` (:func:`log_eta`), with
+    ``zeta`` the running supremum of the rates up to ``t``.
     """
     if inputs.delta is None:
         raise ValueError("hp envelope needs inputs.delta set")
@@ -290,19 +344,13 @@ def hp_bound_trajectory(inputs: BoundInputs, n_steps=None, k_max=None) -> BoundC
     phi_run = np.maximum.accumulate(phi_pad / inputs.p)
     zeta_run = np.maximum.accumulate(inputs.zeta_t[1 : T + 1])
 
-    t_axis = np.arange(T + 1)
-    transient = np.empty(T + 1)
-    geo = np.empty(T + 1)
-    transient[0] = inputs.d0  # eta(0) = 1: no updates have happened yet
-    geo[0] = 0.0
-    for t in range(1, T + 1):
-        zs = float(zeta_run[t - 1])
-        km = max(t, 100) if k_max is None else k_max
-        transient[t] = inputs.d0 * eta(t, inputs.p, zs, km)
-        geo[t] = (1.0 - zs**t) / (1.0 - zs)
+    t = np.arange(1, T + 1)
+    # eta(0) = 1 and geo(0) = 0: no updates have happened yet
+    transient = inputs.d0 * np.exp(np.concatenate(([0.0], log_eta(t, inputs.p, zeta_run))))
+    geo = np.concatenate(([0.0], (1.0 - zeta_run**t) / (1.0 - zeta_run)))
     value = pref * (transient + geo * joint_run)
     return BoundCurve(
-        t=t_axis, value=value, transient=pref * transient,
+        t=np.arange(T + 1), value=value, transient=pref * transient,
         path_term=pref * geo * phi_run, error_term=pref * geo * nu_run,
         meta={"kind": "high-probability", "delta": inputs.delta, "prefactor": pref},
     )

@@ -5,10 +5,14 @@ recurrences; the references here expand the sums literally, so any indexing
 slip between the two shows up immediately.
 """
 
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feedopt import algorithm, bounds, subweibull
 from feedopt.bounds import BoundInputs
@@ -66,18 +70,99 @@ def test_binomial_moment_matches_direct_expectation():
 
 
 def test_eta_frozen_value_and_maximizer():
-    assert bounds.eta(2, 0.5, 0.5, 3) == pytest.approx(0.5625)
-    # the k=1 candidate is (1-p+p*zeta)^t; eta can only improve on it
+    # the supremum sits at k = 1 here: (1 - p + p zeta)^t
+    assert math.exp(bounds.log_eta(2, 0.5, 0.5)) == pytest.approx(0.5625, rel=1e-15)
+    # interior maximisers at k = 144.4767 (beyond max(t, 100)) and at
+    # k = 64.3775 (not an integer); values computed at 40 significant digits
+    assert bounds.log_eta(60, 0.7, 0.8) == pytest.approx(-2.9865592508221961566, rel=1e-14)
+    assert bounds.log_eta(20, 0.8, 0.6) == pytest.approx(-2.5823822247205169713, rel=1e-14)
+    # the k = 1 candidate is (1-p+p*zeta)^t; eta can only improve on it
     for t in (1, 10, 60):
-        assert bounds.eta(t, 0.7, 0.8, 200) >= (1 - 0.7 + 0.7 * 0.8) ** t / 1.0 - 1e-15
-    k_star = bounds.eta_maximizer(60, 0.7, 0.8, 200)
-    assert 1 <= k_star < 200  # interior, so the grid truncation is harmless
+        assert bounds.log_eta(t, 0.7, 0.8) >= t * math.log(1 - 0.7 + 0.7 * 0.8) - 1e-15
     with pytest.raises(ValueError, match="t >= 1"):
-        bounds.eta(0, 0.5, 0.5, 10)
+        bounds.log_eta(0, 0.5, 0.5)
     with pytest.raises(ValueError, match="contraction factor"):
-        bounds.eta(2, 0.5, 1.0, 10)
-    with pytest.raises(ValueError, match="k_max"):
-        bounds.eta(2, 0.5, 0.5, 0)
+        bounds.log_eta(2, 0.5, 1.0)
+    with pytest.raises(ValueError, match="availability"):
+        bounds.log_eta(2, 0.0, 0.5)
+
+
+DENSE_POINTS = 100_001
+# ln(eta) of the search and of a dense grid may differ by rounding, a few
+# ulps of |ln eta|; this allowance is 1e-13 of it.
+LOG_ROUNDING = 1e-13
+
+
+def dense_log_eta(t, p, zeta):
+    """``ln sup_k (1-p+p zeta^k)^(t/k)/sqrt(k)`` by brute force: a log-spaced
+    grid of DENSE_POINTS on ``[1, 4 K_t]`` (``K_t = 2t ln(1/(1-p))``), then a
+    second one of the same size across the neighbours of its best point."""
+    log_zeta = math.log(zeta)
+
+    def h(k):
+        if p == 1.0:
+            base = k * log_zeta
+        else:
+            zk = np.exp(k * log_zeta)
+            near_one = p * (1.0 - zk) <= 0.5
+            base = np.where(
+                near_one,
+                np.log1p(p * np.expm1(k * log_zeta)),
+                np.log(np.where(near_one, 1.0, (1.0 - p) + p * zk)),
+            )
+        return t / k * base - 0.5 * np.log(k)
+
+    k_hi = 4.0 if p == 1.0 else max(-8.0 * t * math.log1p(-p), 4.0)  # 4 K_t
+    u = np.linspace(0.0, math.log(k_hi), DENSE_POINTS)
+    vals = h(np.exp(u))
+    j = int(np.argmax(vals))
+    fine = np.linspace(u[max(j - 1, 0)], u[min(j + 1, u.size - 1)], DENSE_POINTS)
+    return max(float(vals[j]), float(h(np.exp(fine)).max()))
+
+
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+availability = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 10**4), p=availability, zeta=unit_open)
+def test_log_eta_is_the_supremum_over_real_k(t, p, zeta):
+    got = float(bounds.log_eta(t, p, zeta))
+    ref = dense_log_eta(t, p, zeta)
+    slack = LOG_ROUNDING * abs(ref)
+    # never below the dense search, and above it by less than 1e-9 of eta
+    assert got >= ref - slack
+    assert got <= ref + math.log1p(1e-9) + slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=availability,
+    points=st.lists(st.tuples(st.integers(1, 10**4), unit_open), min_size=1, max_size=12),
+)
+def test_log_eta_vectorised_equals_scalar_calls(p, points):
+    t = np.array([pt[0] for pt in points])
+    zeta = np.array([pt[1] for pt in points])
+    together = bounds.log_eta(t, p, zeta)
+    alone = [bounds.log_eta(int(ti), p, float(zi)) for ti, zi in points]
+    np.testing.assert_array_equal(together, np.array(alone))
+    # the scalar call returns a scalar
+    assert np.ndim(alone[0]) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10**4), p=availability, zeta=unit_open)
+def test_log_eta_is_nonincreasing_in_t(n, p, zeta):
+    vals = bounds.log_eta(np.arange(1, n + 1), p, zeta)
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.integers(1, 10**4), zeta=unit_open)
+@example(t=8640, zeta=0.01)  # eta itself, 0.01^8640, underflows; its log must not
+def test_log_eta_at_full_availability_is_t_log_zeta(t, zeta):
+    got = bounds.log_eta(t, 1.0, zeta)
+    assert math.isfinite(got) and got == t * np.log(zeta)
 
 
 # -- input container -----------------------------------------------------------
@@ -184,10 +269,7 @@ def brute_force_hp(inputs, T):
     out[0] = pref * inputs.d0
     for t in range(1, T + 1):
         zs = float(inputs.zeta_t[1 : t + 1].max())
-        eta_t = max(
-            (1 - inputs.p + inputs.p * zs**k) ** (t / k) / math.sqrt(k)
-            for k in range(1, max(t, 100) + 1)
-        )
+        eta_t = math.exp(dense_log_eta(t, inputs.p, zs))
         geo = (1 - zs**t) / (1 - zs)
         joint = max(
             inputs.alpha * inputs.nu_e[i] + phi_pad[i] / inputs.p for i in range(t + 1)
@@ -215,6 +297,44 @@ def test_hp_bound_grows_as_delta_shrinks():
 def test_hp_bound_needs_delta():
     with pytest.raises(ValueError, match="delta"):
         bounds.hp_bound_trajectory(make_inputs())
+
+
+@st.composite
+def bound_inputs(draw):
+    """Random envelope inputs: horizon 1..40, rates in (0, 1), p in (0, 1]."""
+    T = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    zeta_lo = draw(st.floats(0.01, 0.98))
+    return BoundInputs(
+        alpha=draw(st.floats(0.01, 2.0)),
+        p=draw(st.floats(0.05, 1.0)),
+        zeta_t=rng.uniform(zeta_lo, 0.99, T + 1),
+        phi=rng.uniform(0.0, draw(st.floats(0.0, 5.0)), T),
+        e_mean=rng.uniform(0.0, draw(st.floats(0.0, 2.0)), T + 1),
+        nu_e=rng.uniform(0.0, draw(st.floats(0.0, 3.0)), T + 1),
+        theta_eps=draw(st.floats(0.1, 3.0)),
+        theta_xi=draw(st.floats(0.1, 3.0)),
+        d0=draw(st.floats(0.0, 50.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=bound_inputs())
+def test_expectation_bound_never_exceeds_its_asymptotic_relaxation(inputs):
+    exact = bounds.expectation_bound(inputs)
+    geo = bounds.expectation_bound_asymptotic(inputs)
+    assert np.all(exact.value <= geo.value * (1.0 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=bound_inputs(), deltas=st.lists(st.floats(1e-6, 0.999), min_size=2, max_size=4))
+def test_hp_bound_is_nonincreasing_in_delta(inputs, deltas):
+    curves = [
+        bounds.hp_bound_trajectory(replace(inputs, delta=d)).value for d in sorted(deltas)
+    ]
+    for smaller, larger in zip(curves, curves[1:]):
+        assert np.all(larger <= smaller)
 
 
 # -- error statistics ----------------------------------------------------------------
@@ -295,6 +415,49 @@ def test_bound_inputs_silent_noise_gives_zero_error_mean():
     inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=20)
     assert np.all(inputs.e_mean == 0.0)
     assert np.all(inputs.nu_e == 0.0)
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-300, 1e-5, 1.5e16, math.inf, math.nan]
+
+
+def reference_csv(path, header, rows):
+    """The writers' format spelt out with ``csv.writer`` and ``format``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for ints, floats in rows:
+            writer.writerow([int(i) for i in ints] + [format(float(v), ".15g") for v in floats])
+
+
+def test_csv_writers_match_a_csv_writer_reference(tmp_path):
+    vals = np.array(EDGE_VALUES + [1.0 / 3.0, -2.5e-7])
+    n = vals.size
+    curve = bounds.BoundCurve(
+        t=np.arange(n), value=vals, transient=vals[::-1].copy(),
+        path_term=np.roll(vals, 1), error_term=np.roll(vals, 2),
+    )
+    curve.to_csv(tmp_path / "curve.csv")
+    reference_csv(
+        tmp_path / "curve_ref.csv",
+        ["t", "bound", "transient_term", "path_term", "error_term"],
+        [
+            ([t], [curve.value[t], curve.transient[t], curve.path_term[t], curve.error_term[t]])
+            for t in range(n)
+        ],
+    )
+    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "curve_ref.csv").read_bytes()
+
+    x = np.stack([np.roll(vals, j) for j in range(3)], axis=1)
+    traj = algorithm.Trajectory(
+        x=x, v=(np.arange(n) % 2).astype(np.int8), d=vals[::-1].copy(), e_norm=np.roll(vals, 3)
+    )
+    traj.to_csv(tmp_path / "traj.csv")
+    reference_csv(
+        tmp_path / "traj_ref.csv",
+        ["t", "v", "d_t", "e_norm", "x_1", "x_2", "x_3"],
+        [([t, traj.v[t]], [traj.d[t], traj.e_norm[t], *traj.x[t]]) for t in range(n)],
+    )
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "traj_ref.csv").read_bytes()
 
 
 def test_bound_curve_csv(tmp_path):

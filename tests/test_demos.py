@@ -36,3 +36,17 @@ def test_demand_response_study_demo():
     plateaus = re.findall(r"^\s+([\d.]+)\s+([\d.]+)\s+([\d.]+)$", out, flags=re.M)
     assert [p for p, _, _ in plateaus] == ["0.4", "0.6", "0.8", "1"]
     assert len(re.findall(r"^\s+(exact|gp) @ t=\d+: ", out, flags=re.M)) == 4
+
+
+def test_tracking_envelopes_demo():
+    out = run_demo("tracking_envelopes.py", "--trials", "50")
+    assert "instance: 6 inputs, availability p=0.7, T=500" in out
+    rows = re.findall(r"^\s*(\d+)" + r"\s+([\d.]+)" * 5 + "$", out, flags=re.M)
+    assert [int(r[0]) for r in rows] == [1, 10, 50, 150, 300, 500]
+    for _, mean, upper, _, q90, hp in rows:
+        assert float(mean) <= float(upper)
+        assert float(q90) <= float(hp)
+    exceed = re.search(
+        r"^final-step exceedance of the hp envelope: ([\d.]+) \(allowed 0\.1\)$", out, flags=re.M
+    )
+    assert exceed is not None and 0.0 <= float(exceed.group(1)) <= 1.0

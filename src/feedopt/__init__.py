@@ -32,7 +32,7 @@ Quick start::
                                eps_sampler=subweibull.gaussian(0.05),
                                xi_sampler=subweibull.zero(),
                                meas_noise=subweibull.zero(), seed=3)
-    traj = algorithm.run(prob, cfg, x0=None, n_steps=500)
+    traj = algorithm.run(prob, cfg, n_steps=500)
 """
 
 from . import algorithm, bounds, config, gplearn, problem, scenario, subweibull, validation

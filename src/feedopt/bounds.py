@@ -52,7 +52,6 @@ import numpy as np
 from .subweibull import SubWeibull, vector_norm_class
 
 __all__ = [
-    "zeta",
     "BoundInputs",
     "BoundCurve",
     "expectation_bound",
@@ -64,15 +63,6 @@ __all__ = [
     "effective_tracking_error_class",
     "bound_inputs_from_problem",
 ]
-
-
-def zeta(alpha: float, mu: float, L: float) -> float:
-    """Per-step contraction factor ``max(|1 - alpha*mu|, |1 - alpha*L|)``."""
-    if not (0 < mu <= L):
-        raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if not alpha > 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
-    return max(abs(1.0 - alpha * mu), abs(1.0 - alpha * L))
 
 
 @dataclass
@@ -403,14 +393,13 @@ def effective_tracking_error_class(
     return xi_class.add(noise_class.scale(worst_row))
 
 
-def bound_inputs_from_problem(
-    prob, cfg, n_steps=None, x0=None, delta=None, n_samples=10**5, seed=0,
-) -> BoundInputs:
+def bound_inputs_from_problem(prob, cfg, n_steps=None, delta=None, seed=0) -> BoundInputs:
     """Assemble :class:`BoundInputs` for an algorithm config on a problem.
 
-    Curvature, optimum path and ``d0`` come from the problem's exact
-    oracles.  The samplers are stationary, so ``E[||e||]`` is estimated once
-    by Monte Carlo and inflated by three standard errors to keep the
+    Curvature, optimum path and ``d0`` (from the step-0 box midpoint, where
+    runs start by default) come from the problem's exact oracles.  The
+    samplers are stationary, so ``E[||e||]`` is estimated once from 10^5
+    Monte Carlo draws and inflated by three standard errors to keep the
     expectation envelope an upper bound; the certificate scale ``nu_e``
     comes from the error-norm composition rule with measurement noise
     folded into the tracking-error entries through ``beta G^T``.
@@ -425,11 +414,8 @@ def bound_inputs_from_problem(
         np.abs(1.0 - cfg.alpha * mu[: n_steps + 1]),
         np.abs(1.0 - cfg.alpha * L[: n_steps + 1]),
     )
-    optima = prob.optimal_points()
-    if x0 is None:
-        x0 = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
-    d0 = float(np.linalg.norm(np.asarray(x0, dtype=float) - optima[0]))
-    phi = np.linalg.norm(np.diff(optima[: n_steps + 1], axis=0), axis=1)
+    mid = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
+    d0 = float(np.linalg.norm(mid - prob.optimal_points()[0]))
 
     noise_map = prob.costs.beta * prob.plant.G.T
     m = prob.n_inputs
@@ -438,7 +424,7 @@ def bound_inputs_from_problem(
     else:
         rng = np.random.default_rng(seed)
         e_hat, e_se = expected_error_norm(
-            cfg.eps_sampler, cfg.xi_sampler, m, n_samples, rng, cfg.meas_noise, noise_map
+            cfg.eps_sampler, cfg.xi_sampler, m, 10**5, rng, cfg.meas_noise, noise_map
         )
         e_point = e_hat + 3.0 * e_se
     xi_eff = effective_tracking_error_class(
@@ -449,7 +435,7 @@ def bound_inputs_from_problem(
         alpha=cfg.alpha,
         p=cfg.p,
         zeta_t=zeta_arr,
-        phi=phi,
+        phi=prob.path_lengths()[:n_steps],
         e_mean=np.full(n_steps + 1, e_point),
         nu_e=np.full(n_steps + 1, norm_class.nu),
         theta_eps=cfg.eps_sampler.declared.theta,

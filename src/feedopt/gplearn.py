@@ -58,14 +58,6 @@ class SquaredExponential:
         if not np.all(np.asarray(self.ell) > 0):
             raise ValueError(f"length scale must be positive, got {self.ell}")
 
-    def __call__(self, x1, x2):
-        diff = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
-        return _se(self.sigma_f2, self.ell, diff)
-
-    def gram(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return self(xs[:, None], xs[None, :])
-
 
 class GPPosterior:
     """Posteriors of a batch of independent scalar GPs.

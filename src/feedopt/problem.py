@@ -16,7 +16,6 @@ update in :mod:`feedopt.algorithm` takes ``n_steps`` steps at most.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,12 @@ __all__ = [
     "LinearPlantMap",
     "BoxSchedule",
     "CostSchedule",
-    "CurvaturePair",
     "TimeVaryingProblem",
 ]
+
+# fixed-point residual at which the optimizer oracle stops, and its sweep cap
+_ORACLE_TOL = 1e-10
+_ORACLE_MAX_SWEEPS = 10**6
 
 
 @dataclass
@@ -44,15 +46,6 @@ class LinearPlantMap:
             raise ValueError(
                 f"G and H must share the output dimension, got {self.G.shape} and {self.H.shape}"
             )
-
-    def __call__(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if x.shape != (self.G.shape[1],):
-            raise ValueError(f"input must have shape ({self.G.shape[1]},), got {x.shape}")
-        if w.shape != (self.H.shape[1],):
-            raise ValueError(f"disturbance must have shape ({self.H.shape[1]},), got {w.shape}")
-        return self.G @ x + self.H @ w
 
 
 @dataclass
@@ -102,18 +95,6 @@ class CostSchedule:
             raise ValueError("input-cost curvatures a must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
-    """Strong convexity and smoothness constants ``0 < mu <= L``."""
-
-    mu: float
-    L: float
-
-    def __post_init__(self):
-        if not (0 < self.mu <= self.L):
-            raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
-
-
 class TimeVaryingProblem:
     """A full problem instance: plant, box schedule and cost schedule.
 
@@ -137,7 +118,6 @@ class TimeVaryingProblem:
         if boxes.lower.shape[0] != costs.y_ref.shape[0]:
             raise ValueError("box and cost schedules disagree on horizon length")
         self._optima = None
-        self._optima_tol = None
         self._curvature = None
 
     # -- basic shape queries -------------------------------------------------
@@ -161,27 +141,7 @@ class TimeVaryingProblem:
             raise IndexError(f"time index {t} outside the schedule range [0, {self.n_steps}]")
         return t
 
-    # -- plant and cost evaluations -------------------------------------------
-
-    def output(self, x, t: int) -> np.ndarray:
-        """Noise-free output at step ``t`` (schedule disturbance)."""
-        t = self._check_t(t)
-        return self.plant(x, self.costs.w[t])
-
-    def cost(self, x, t: int) -> float:
-        t = self._check_t(t)
-        x = np.asarray(x, dtype=float)
-        resid = self.output(x, t) - self.costs.y_ref[t]
-        track = 0.5 * self.costs.beta * float(resid @ resid)
-        a, b, c = self.costs.a[t], self.costs.b[t], self.costs.c[t]
-        return track + float(a @ (x * x) + b @ x + c.sum())
-
-    def exact_gradient(self, x, t: int) -> np.ndarray:
-        """``beta * G^T (G x + H w_t - yref_t) + 2 a_t x + b_t``."""
-        t = self._check_t(t)
-        x = np.asarray(x, dtype=float)
-        resid = self.output(x, t) - self.costs.y_ref[t]
-        return self.costs.beta * (self.plant.G.T @ resid) + self.u_gradient(x, t)
+    # -- gradient and projection ---------------------------------------------
 
     def u_gradient(self, x, t: int) -> np.ndarray:
         """Gradient of the separable input cost only: ``2 a_t x + b_t``."""
@@ -189,32 +149,12 @@ class TimeVaryingProblem:
         x = np.asarray(x, dtype=float)
         return 2.0 * self.costs.a[t] * x + self.costs.b[t]
 
-    def tracking_gradient(self, y, t: int) -> np.ndarray:
-        """Tracking part of the gradient evaluated at a measured output ``y``:
-        ``beta * G^T (y - yref_t)``."""
-        t = self._check_t(t)
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_outputs,):
-            raise ValueError(f"output must have shape ({self.n_outputs},), got {y.shape}")
-        return self.costs.beta * (self.plant.G.T @ (y - self.costs.y_ref[t]))
-
     def project(self, z, t: int) -> np.ndarray:
         """Euclidean projection onto the step-``t`` box (componentwise clip)."""
         t = self._check_t(t)
         return np.clip(np.asarray(z, dtype=float), self.boxes.lower[t], self.boxes.upper[t])
 
     # -- curvature -------------------------------------------------------------
-
-    def hessian(self, t: int) -> np.ndarray:
-        t = self._check_t(t)
-        G = self.plant.G
-        return self.costs.beta * (G.T @ G) + np.diag(2.0 * self.costs.a[t])
-
-    def curvature(self, t: int) -> CurvaturePair:
-        """Exact strong-convexity and smoothness constants of ``f_t``."""
-        t = self._check_t(t)
-        mu, L = self.curvature_all()
-        return CurvaturePair(float(mu[t]), float(L[t]))
 
     def curvature_all(self):
         """Arrays ``(mu, L)`` over all time indices, from batched eigenvalues."""
@@ -238,38 +178,16 @@ class TimeVaryingProblem:
 
     # -- optimizer oracle --------------------------------------------------------
 
-    def optimal_point(self, t: int, tol: float = 1e-10, max_iter: int = 10**6) -> np.ndarray:
-        """Constrained minimizer of ``f_t`` over ``X_t``.
-
-        Runs projected gradient with step ``1/L_t`` from the box midpoint
-        until the fixed-point residual ``||x - P(x - grad f_t(x)/L_t)||``
-        drops below ``tol``.
-        """
-        t = self._check_t(t)
-        if self._optima is not None and self._optima_tol <= tol:
-            return self._optima[t].copy()
-        _, L = self.curvature_all()
-        lo, hi = self.boxes.lower[t], self.boxes.upper[t]
-        x = 0.5 * (lo + hi)
-        step = 1.0 / L[t]
-        for _ in range(max_iter):
-            x_next = np.clip(x - step * self.exact_gradient(x, t), lo, hi)
-            if np.linalg.norm(x - x_next) <= tol:
-                return x_next
-            x = x_next
-        raise RuntimeError(
-            f"optimizer oracle did not reach residual {tol} in {max_iter} iterations "
-            f"at step {t}; the instance is badly conditioned"
-        )
-
-    def optimal_points(self, tol: float = 1e-10, max_iter: int = 10**6) -> np.ndarray:
+    def optimal_points(self) -> np.ndarray:
         """All per-step minimizers as an ``(n_steps+1, n_inputs)`` array (cached).
 
-        All steps are iterated simultaneously (the per-step solves are
-        independent), with the same fixed-point residual criterion as
-        :meth:`optimal_point`.
+        Projected gradient with step ``1/L_t`` from the box midpoints, all
+        steps iterated simultaneously (the per-step solves are independent),
+        until every fixed-point residual ``||x - P(x - grad f_t(x)/L_t)||``
+        is at most ``_ORACLE_TOL``.  Raises ``RuntimeError`` after
+        ``_ORACLE_MAX_SWEEPS`` sweeps without convergence.
         """
-        if self._optima is not None and self._optima_tol <= tol:
+        if self._optima is not None:
             return self._optima
         mu, L = self.curvature_all()
         G = self.plant.G
@@ -279,31 +197,22 @@ class TimeVaryingProblem:
         drive = w @ self.plant.H.T - yref  # (n_t, n_out), constant part of the residual
         X = 0.5 * (lo + hi)
         step = (1.0 / L)[:, None]
-        for _ in range(max_iter):
+        for _ in range(_ORACLE_MAX_SWEEPS):
             grad = beta * ((X @ G.T + drive) @ G) + 2.0 * a * X + b
             X_next = np.clip(X - step * grad, lo, hi)
             resid = np.linalg.norm(X - X_next, axis=1)
             X = X_next
-            if resid.max() <= tol:
+            if resid.max() <= _ORACLE_TOL:
                 break
         else:
             raise RuntimeError(
-                f"optimizer oracle did not reach residual {tol} in {max_iter} sweeps; "
-                "the instance is badly conditioned"
+                f"optimizer oracle did not reach residual {_ORACLE_TOL} in "
+                f"{_ORACLE_MAX_SWEEPS} sweeps; the instance is badly conditioned"
             )
         # X is one contraction step past the point that met the criterion, so
-        # its own residual is at most tol as well
+        # its own residual is at most the tolerance as well
         self._optima = X
-        self._optima_tol = tol
         return X
-
-    def path_length(self, t: int) -> float:
-        """Optimum movement ``||x*_t - x*_{t+1}||``; needs ``t + 1`` in range."""
-        t = self._check_t(t)
-        if t + 1 > self.n_steps:
-            raise IndexError(f"path length at {t} needs step {t + 1} in the schedule")
-        opt = self.optimal_points()
-        return float(np.linalg.norm(opt[t] - opt[t + 1]))
 
     def path_lengths(self) -> np.ndarray:
         """All ``n_steps`` consecutive optimum movements."""
@@ -325,28 +234,3 @@ class TimeVaryingProblem:
             "c": self.costs.c.tolist(),
             "w": self.costs.w.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TimeVaryingProblem":
-        return cls(
-            LinearPlantMap(np.array(payload["G"]), np.array(payload["H"])),
-            BoxSchedule(np.array(payload["lower"]), np.array(payload["upper"])),
-            CostSchedule(
-                payload["beta"],
-                np.array(payload["y_ref"]),
-                np.array(payload["a"]),
-                np.array(payload["b"]),
-                np.array(payload["c"]),
-                np.array(payload["w"]),
-            ),
-        )
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "TimeVaryingProblem":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

@@ -35,7 +35,6 @@ __all__ = [
     "ExperimentResult",
     "active_profile",
     "build_scenario",
-    "run_experiment",
     "run_experiments",
     "run_suite",
     "seed_cost_learners",
@@ -295,18 +294,11 @@ def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
     return algorithm.simulate(prob, acfg, x0, rng_main, n_steps=cfg.horizon, p=ps, **hooks)
 
 
-def run_experiment(prob, cfg: ScenarioConfig, p: float, mode: str, exp_index: int):
-    """One full run of the study at availability ``p``: the batch of one of
-    :func:`run_experiments`, with the same streams and learner hooks."""
-    return run_experiments(prob, cfg, mode, [(p, exp_index)])[0]
-
-
 @dataclass
 class ExperimentResult:
     """Ensemble statistics of the suite, keyed by ``(p, mode)``.
 
-    ``mean_d`` and ``std_d`` hold curves over ``t = 1 .. horizon``;
-    ``per_experiment`` holds the raw per-run distance curves.
+    ``mean_d`` and ``std_d`` hold curves over ``t = 1 .. horizon``.
     """
 
     p_values: tuple
@@ -315,7 +307,6 @@ class ExperimentResult:
     n_experiments: int
     mean_d: dict = field(default_factory=dict)
     std_d: dict = field(default_factory=dict)
-    per_experiment: dict = field(default_factory=dict)
 
     def plateau(self, p: float, mode: str, window: int = 500) -> float:
         """Mean tracking error over the last ``window`` steps."""
@@ -367,7 +358,6 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
             rows = np.stack(
                 [trajectories[(p, mode, e)].d[1:] for e in range(cfg.n_experiments)]
             )
-            result.per_experiment[(p, mode)] = rows
             result.mean_d[(p, mode)] = rows.mean(axis=0)
             ddof = 1 if cfg.n_experiments > 1 else 0
             result.std_d[(p, mode)] = rows.std(axis=0, ddof=ddof)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -154,17 +153,6 @@ _UNIFORM = "bounded-uniform"
 _WEIBULL = "weibull-tail"
 
 
-@lru_cache(maxsize=None)
-def _weibull_unit_nu(theta: float) -> float:
-    # Tight certificate scale for a unit symmetric Weibull magnitude:
-    #   sup_{k>=1} Gamma(1 + k*theta)**(1/k) / k**theta.
-    # The ratio tends to (theta/e)**theta < 1 as k grows, so the supremum is
-    # attained at finite k and a dense grid capture suffices.
-    k = np.linspace(1.0, 512.0, 20001)
-    log_ratio = gammaln(1.0 + k * theta) / k - theta * np.log(k)
-    return float(np.exp(log_ratio.max()))
-
-
 @dataclass(frozen=True)
 class ErrorSampler:
     """A concrete noise distribution together with its declared certificate.
@@ -217,15 +205,26 @@ def weibull_tail(theta: float, scale: float) -> ErrorSampler:
 
     ``P[|X| > w] = exp(-(w/scale)**(1/theta))`` and
     ``E[|X|^k] = scale**k * Gamma(1 + k*theta)`` exactly, so the declared
-    scale ``scale * sup_k Gamma(1+k*theta)**(1/k) / k**theta`` is the
+    scale ``scale * sup_{k>=1} Gamma(1+k*theta)**(1/k) / k**theta`` is the
     tightest valid one.  ``theta`` beyond 1 produces genuinely heavy tails.
+
+    The supremum is attained at ``k = 1``, so the scale is
+    ``scale * Gamma(1 + theta)``.  With ``x = k*theta`` the log-ratio is
+    ``theta * (lnGamma(1+x)/x - ln x + ln theta)``, whose slope in ``x`` has
+    the sign of ``h(x) = x psi(1+x) - lnGamma(1+x) - x``.  Here ``h(0) = 0``
+    and ``h'(x) = x psi'(1+x) - 1 < 0``, because
+    ``psi'(1+x) = sum_{n>=1} (n+x)^-2 < int_0^oo (t+x)^-2 dt = 1/x``; so
+    ``h < 0`` for ``x > 0`` and the ratio decreases in ``k`` (Vladimirova et
+    al., "Sub-Weibull distributions", Stat, 2020, give the moment form).  ``Gamma(1 + theta)``
+    is evaluated as ``exp(lnGamma(1 + theta))``, the log-ratio at ``k = 1``
+    exactly; ``math.gamma`` can differ from it in the last bit.
     """
     if not theta > 0:
         raise ValueError(f"tail exponent must be positive, got theta={theta}")
     _check_scale(scale)
+    unit_nu = float(np.exp(gammaln(1.0 + float(theta))))
     return ErrorSampler(
-        _WEIBULL, float(scale), float(theta),
-        SubWeibull(float(theta), float(scale) * _weibull_unit_nu(float(theta))),
+        _WEIBULL, float(scale), float(theta), SubWeibull(float(theta), float(scale) * unit_nu),
     )
 
 

@@ -106,8 +106,9 @@ class ValidationReport:
 # ensemble simulation
 
 
-def run_trials(prob, cfg, n_steps, n_trials, seed, x0=None, n_jobs=1) -> np.ndarray:
-    """Distances ``d_t`` for ``n_trials`` independent runs, ``(n_trials, n_steps+1)``.
+def run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=1) -> np.ndarray:
+    """Distances ``d_t`` for ``n_trials`` independent runs, ``(n_trials, n_steps+1)``,
+    each started at the step-0 box midpoint.
 
     Trial ``i`` always draws from the child stream ``(seed, i)``, so the
     result is identical for any ``n_jobs``.
@@ -119,7 +120,7 @@ def run_trials(prob, cfg, n_steps, n_trials, seed, x0=None, n_jobs=1) -> np.ndar
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for i in range(n_trials)
     ]
-    simulate = partial(algorithm.simulate, prob, cfg, x0, n_steps=n_steps)
+    simulate = partial(algorithm.simulate, prob, cfg, None, n_steps=n_steps)
     return np.stack([traj.d for traj in algorithm.fan_out(simulate, rngs, n_jobs)])
 
 
@@ -127,16 +128,12 @@ def run_trials(prob, cfg, n_steps, n_trials, seed, x0=None, n_jobs=1) -> np.ndar
 # envelope checks
 
 
-def validate_expectation_bound(
-    prob, cfg, n_steps, n_trials, seed, x0=None, n_jobs=1, n_error_samples=10**5,
-):
+def validate_expectation_bound(prob, cfg, n_steps, n_trials, seed, n_jobs=1):
     """Ensemble mean (plus three standard errors) vs. the expectation envelope."""
     if n_trials < 100:
         raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
-    d = run_trials(prob, cfg, n_steps, n_trials, seed, x0=x0, n_jobs=n_jobs)
-    inputs = bounds.bound_inputs_from_problem(
-        prob, cfg, n_steps, x0=x0, n_samples=n_error_samples, seed=seed
-    )
+    d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
+    inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=seed)
     curve = bounds.expectation_bound(inputs, n_steps)
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(n_trials)
@@ -156,10 +153,7 @@ def validate_expectation_bound(
     return ValidationReport([check], seed)
 
 
-def validate_hp_bound(
-    prob, cfg, n_steps, n_trials, deltas, check_times, seed,
-    x0=None, n_jobs=1, n_error_samples=10**5,
-):
+def validate_hp_bound(prob, cfg, n_steps, n_trials, deltas, check_times, seed, n_jobs=1):
     """Exceedance frequency of the high-probability envelope at chosen steps.
 
     For each level ``delta`` the frequency of ``d_t > bound_t`` may not
@@ -170,12 +164,10 @@ def validate_hp_bound(
     check_times = [int(t) for t in check_times]
     if any(t < 1 or t > n_steps for t in check_times):
         raise ValueError(f"check times must lie in [1, {n_steps}], got {check_times}")
-    d = run_trials(prob, cfg, n_steps, n_trials, seed, x0=x0, n_jobs=n_jobs)
+    d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     report = ValidationReport([], seed)
     for delta in deltas:
-        inputs = bounds.bound_inputs_from_problem(
-            prob, cfg, n_steps, x0=x0, delta=delta, n_samples=n_error_samples, seed=seed
-        )
+        inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps, delta=delta, seed=seed)
         curve = bounds.hp_bound_trajectory(inputs, n_steps)
         allowance = float(binom.ppf(0.99, n_trials, delta)) / n_trials
         for t in check_times:

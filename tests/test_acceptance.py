@@ -181,8 +181,8 @@ def test_criterion_5_gp_gradient_and_interpolation():
 
 def test_criterion_6_noise_free_contraction():
     prob, cfg = static_instance(n_t=201, silent=True, p=1.0)
-    pair = prob.curvature(0)
-    zeta = max(abs(1 - cfg.alpha * pair.mu), abs(1 - cfg.alpha * pair.L))
+    mu, L = (c[0] for c in prob.curvature_all())
+    zeta = max(abs(1 - cfg.alpha * mu), abs(1 - cfg.alpha * L))
     traj = algorithm.run(prob, cfg, n_steps=200)
     envelope = zeta ** np.arange(201) * traj.d[0] + 1e-9
     violations = int(np.sum(traj.d > envelope))

@@ -73,9 +73,9 @@ def test_config_validation():
 
 def test_noise_free_full_availability_contracts_at_zeta():
     prob = static_problem()
-    pair = prob.curvature(0)
-    alpha = 1.0 / pair.L
-    zeta = max(abs(1 - alpha * pair.mu), abs(1 - alpha * pair.L))
+    mu, L = (c[0] for c in prob.curvature_all())
+    alpha = 1.0 / L
+    zeta = max(abs(1 - alpha * mu), abs(1 - alpha * L))
     traj = algorithm.run(prob, quiet_config(alpha, 1.0), n_steps=50)
     assert traj.d[0] > 0
     for t in range(1, 51):

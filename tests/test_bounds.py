@@ -34,14 +34,21 @@ def make_inputs(T=12, alpha=0.4, p=0.7, delta=None, seed=0):
 
 
 def test_zeta_values():
-    assert bounds.zeta(0.5, 1.0, 2.0) == pytest.approx(0.5)
-    assert bounds.zeta(1.0, 0.2, 1.0) == pytest.approx(0.8)
-    # minimized at alpha = 2/(mu+L), symmetric around it
-    assert bounds.zeta(2.0 / 3.0, 1.0, 2.0) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError, match="0 < mu <= L"):
-        bounds.zeta(0.5, 2.0, 1.0)
-    with pytest.raises(ValueError, match="step size"):
-        bounds.zeta(0.0, 1.0, 2.0)
+    # the rates max(|1 - alpha mu_t|, |1 - alpha L_t|), against eigenvalues of
+    # the Hessian built by hand
+    from tests_common import reference_hessian, static_instance
+
+    prob, cfg = static_instance(n_t=11)
+    mu, L = np.linalg.eigvalsh(reference_hessian(prob, 0))[[0, -1]]
+    for alpha, expected in (
+        (1.0 / L, 1.0 - mu / L),
+        (0.5 / L, 1.0 - 0.5 * mu / L),
+        # minimized at alpha = 2/(mu+L), where both ends are equal
+        (2.0 / (mu + L), (L - mu) / (L + mu)),
+        (1.9 / L, 0.9),
+    ):
+        inputs = bounds.bound_inputs_from_problem(prob, replace(cfg, alpha=alpha), n_steps=10)
+        np.testing.assert_allclose(inputs.zeta_t, expected, rtol=1e-12)
 
 
 def test_binomial_moment_frozen_and_exact_at_p1():

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from feedopt import cli, config
+from feedopt import cli, config, problem, scenario
+from tests_common import from_dict
 
 
 TINY_SCENARIO = """
@@ -91,6 +93,22 @@ def test_run_scenario_outputs_and_determinism(tmp_path, capsys):
     payload = json.loads(files1["scenario_instance.json"])
     assert payload["horizon"] == 60
     assert (out1 / "config_echo.ini").exists()
+
+
+def test_instance_dump_round_trip(tmp_path):
+    # the dumped instance rebuilds the run's problem exactly
+    cfg = ini(tmp_path, TINY_SCENARIO)
+    out = tmp_path / "out"
+    assert cli.main(["run-scenario", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "scenario_instance.json").read_text())
+    assert {"G", "H", "lower", "upper", "beta", "y_ref", "a", "b", "c", "w"} == set(
+        payload["problem"]
+    )
+    clone = from_dict(payload["problem"])
+    scen, _ = config.load_config(cfg)
+    np.testing.assert_array_equal(
+        clone.optimal_points(), scenario.build_scenario(scen).optimal_points()
+    )
 
 
 def test_run_scenario_refuses_to_clobber(tmp_path, capsys):
@@ -209,3 +227,11 @@ def test_runtime_failures_exit_three(tmp_path, capsys):
     )
     assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "z")]) == 3
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_oracle_non_convergence_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(problem, "_ORACLE_MAX_SWEEPS", 1)
+    cfg = ini(tmp_path, "[validation]\nn_steps = 40\ncheck_times = 10, 40\n")
+    assert cli.main(["bound-curve", "--config", cfg, "--out", str(tmp_path / "c")]) == 3
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "optimizer oracle did not reach residual" in err

@@ -1,11 +1,23 @@
-"""Time-varying problem model: gradients, curvature, projection, optima."""
+"""Time-varying problem model: gradients, curvature, projection, optima.
 
-import json
+Costs, gradients, Hessians and optima are checked against the scalar
+reference oracle in ``tests_common``, which works on the raw arrays.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from feedopt import problem
+from tests_common import (
+    from_dict,
+    reference_cost,
+    reference_gradient,
+    reference_hessian,
+    reference_optimum,
+)
 
 
 def small_instance(n_t=6):
@@ -33,13 +45,8 @@ def small_instance(n_t=6):
 def test_plant_map_shape_checks():
     with pytest.raises(ValueError, match="output dimension"):
         problem.LinearPlantMap(np.ones((2, 3)), np.ones((1, 1)))
-    plant = problem.LinearPlantMap(np.ones((1, 2)), np.ones((1, 1)))
-    out = plant(np.array([1.0, 1.0]), np.array([2.0]))
-    assert out == pytest.approx([4.0])
-    with pytest.raises(ValueError, match="input must have shape"):
-        plant(np.ones(3), np.ones(1))
-    with pytest.raises(ValueError, match="disturbance must have shape"):
-        plant(np.ones(2), np.ones(2))
+    plant = problem.LinearPlantMap([1.0, 2.0], [[3.0]])
+    assert plant.G.shape == (1, 2) and plant.H.shape == (1, 1)
 
 
 def test_box_schedule_validation():
@@ -63,14 +70,6 @@ def test_cost_schedule_validation():
         problem.CostSchedule(1.0, np.zeros((n_t + 1, 1)), ok["a"], ok["b"], ok["c"], ok["w"])
 
 
-def test_curvature_pair_validation():
-    problem.CurvaturePair(0.5, 0.5)
-    with pytest.raises(ValueError, match="0 < mu <= L"):
-        problem.CurvaturePair(0.0, 1.0)
-    with pytest.raises(ValueError, match="0 < mu <= L"):
-        problem.CurvaturePair(2.0, 1.0)
-
-
 def test_problem_cross_checks_dimensions():
     prob = small_instance()
     bad_boxes = problem.BoxSchedule(np.full((6, 3), -1.0), np.full((6, 3), 1.0))
@@ -82,9 +81,9 @@ def test_time_index_bounds():
     prob = small_instance()
     assert prob.n_steps == 5
     with pytest.raises(IndexError):
-        prob.cost(np.zeros(2), 6)
+        prob.project(np.zeros(2), 6)
     with pytest.raises(IndexError):
-        prob.cost(np.zeros(2), -1)
+        prob.u_gradient(np.zeros(2), -1)
 
 
 # -- cost and gradient identities ------------------------------------------------
@@ -97,7 +96,7 @@ def test_cost_value_by_hand():
     # output = G x + H w = 1 - 0.5 + 0.5 = 1.0, resid = 1.0 - 1.4
     resid = 1.0 - 1.4
     expected = 0.5 * resid**2 + (0.5 * 1 + 0.8 * 1) + (0.1 * 1.0 + (-0.2) * (-1.0)) + 0.3
-    assert prob.cost(x, t) == pytest.approx(expected, rel=1e-14)
+    assert reference_cost(prob, x, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_exact_gradient_matches_finite_differences():
@@ -105,26 +104,25 @@ def test_exact_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     for t in (0, 3, 5):
         x = rng.uniform(-1.5, 1.5, 2)
-        grad = prob.exact_gradient(x, t)
+        grad = reference_gradient(prob, x, t)
         h = 1e-6
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (prob.cost(x + e, t) - prob.cost(x - e, t)) / (2 * h)
+            fd = (reference_cost(prob, x + e, t) - reference_cost(prob, x - e, t)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_gradient_decomposition():
     # exact gradient = tracking part at the model output + input-cost part
     prob = small_instance()
+    G, H, costs = prob.plant.G, prob.plant.H, prob.costs
     x = np.array([0.3, -0.7])
     for t in range(prob.n_steps + 1):
-        y = prob.output(x, t)
-        lhs = prob.exact_gradient(x, t)
-        rhs = prob.tracking_gradient(y, t) + prob.u_gradient(x, t)
+        y = G @ x + H @ costs.w[t]
+        lhs = reference_gradient(prob, x, t)
+        rhs = costs.beta * (G.T @ (y - costs.y_ref[t])) + prob.u_gradient(x, t)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
-    with pytest.raises(ValueError, match="output must have shape"):
-        prob.tracking_gradient(np.zeros(2), 0)
 
 
 def test_projection_is_clipping_and_idempotent():
@@ -147,29 +145,28 @@ def test_projection_is_clipping_and_idempotent():
 
 def test_hessian_and_curvature_match_eigenvalues():
     prob = small_instance()
+    mu, L = prob.curvature_all()
     for t in (0, 4):
-        hess = prob.hessian(t)
+        hess = reference_hessian(prob, t)
         G = prob.plant.G
         np.testing.assert_allclose(hess, G.T @ G + np.diag([1.0, 1.6]), rtol=1e-14)
         evals = np.linalg.eigvalsh(hess)
-        pair = prob.curvature(t)
-        assert pair.mu == pytest.approx(evals[0], rel=1e-12)
-        assert pair.L == pytest.approx(evals[-1], rel=1e-12)
-    mu, L = prob.curvature_all()
+        assert mu[t] == pytest.approx(evals[0], rel=1e-12)
+        assert L[t] == pytest.approx(evals[-1], rel=1e-12)
     assert mu.shape == L.shape == (prob.n_steps + 1,)
     assert np.all(mu > 0) and np.all(L >= mu)
 
 
 def test_rayleigh_quotients_sit_between_curvature_constants():
     prob = small_instance()
-    hess = prob.hessian(2)
-    pair = prob.curvature(2)
+    hess = reference_hessian(prob, 2)
+    mu, L = (c[2] for c in prob.curvature_all())
     rng = np.random.default_rng(2)
     for _ in range(50):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
         q = float(u @ hess @ u)
-        assert pair.mu - 1e-12 <= q <= pair.L + 1e-12
+        assert mu - 1e-12 <= q <= L + 1e-12
 
 
 def test_degenerate_cost_raises_strong_convexity_error():
@@ -195,8 +192,8 @@ def test_optimal_point_satisfies_variational_inequality():
     prob = small_instance()
     rng = np.random.default_rng(3)
     for t in range(prob.n_steps + 1):
-        xs = prob.optimal_point(t)
-        g = prob.exact_gradient(xs, t)
+        xs = prob.optimal_points()[t]
+        g = reference_gradient(prob, xs, t)
         for _ in range(25):
             x = rng.uniform(-2, 2, 2)
             assert float(g @ (x - xs)) >= -1e-7
@@ -211,7 +208,7 @@ def test_optimal_points_consistency_and_cache():
     batch = prob.optimal_points()
     assert batch.shape == (prob.n_steps + 1, 2)
     for t in range(prob.n_steps + 1):
-        np.testing.assert_allclose(batch[t], prob.optimal_point(t), atol=1e-8)
+        np.testing.assert_allclose(batch[t], reference_optimum(prob, t), atol=1e-8)
     again = prob.optimal_points()
     assert again is batch  # cached
 
@@ -224,8 +221,11 @@ def test_active_box_constraint_is_respected():
         problem.BoxSchedule(np.full((6, 2), 0.9), np.full((6, 2), 1.4)),
         prob.costs,
     )
-    xs = tight.optimal_point(0)
+    xs = tight.optimal_points()[0]
     assert np.all(xs >= 0.9 - 1e-12) and np.all(xs <= 1.4 + 1e-12)
+    # the cut-off optimum sits on a face, where the reference lands too
+    assert np.any(np.isclose(xs, 0.9) | np.isclose(xs, 1.4))
+    np.testing.assert_allclose(xs, reference_optimum(tight, 0), atol=1e-8)
 
 
 def test_path_lengths():
@@ -234,12 +234,13 @@ def test_path_lengths():
     lengths = prob.path_lengths()
     assert lengths.shape == (prob.n_steps,)
     for t in range(prob.n_steps):
-        assert prob.path_length(t) == pytest.approx(
-            float(np.linalg.norm(opt[t] - opt[t + 1]))
-        )
-        assert lengths[t] == pytest.approx(prob.path_length(t))
-    with pytest.raises(IndexError):
-        prob.path_length(prob.n_steps)
+        assert lengths[t] == pytest.approx(float(np.linalg.norm(opt[t] - opt[t + 1])))
+
+
+def test_oracle_non_convergence_is_reported(monkeypatch):
+    monkeypatch.setattr(problem, "_ORACLE_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not reach residual"):
+        small_instance().optimal_points()
 
 
 # -- serialization ------------------------------------------------------------------
@@ -247,19 +248,41 @@ def test_path_lengths():
 
 def test_dict_round_trip():
     prob = small_instance()
-    clone = problem.TimeVaryingProblem.from_dict(prob.to_dict())
+    clone = from_dict(prob.to_dict())
     np.testing.assert_array_equal(clone.plant.G, prob.plant.G)
     np.testing.assert_array_equal(clone.costs.b, prob.costs.b)
     np.testing.assert_array_equal(clone.boxes.upper, prob.boxes.upper)
     x = np.array([0.4, 0.2])
-    assert clone.cost(x, 3) == prob.cost(x, 3)
+    assert reference_cost(clone, x, 3) == reference_cost(prob, x, 3)
+    np.testing.assert_array_equal(clone.optimal_points(), prob.optimal_points())
 
 
-def test_json_round_trip(tmp_path):
-    prob = small_instance()
-    path = tmp_path / "instance.json"
-    prob.to_json(path)
-    payload = json.loads(path.read_text())
-    assert {"G", "H", "lower", "upper", "beta"} <= set(payload)
-    clone = problem.TimeVaryingProblem.from_json(path)
-    np.testing.assert_allclose(clone.optimal_points(), prob.optimal_points(), atol=1e-9)
+# -- properties ---------------------------------------------------------------------
+
+
+def varying_box_instance(n_t=4):
+    """``small_instance`` with boxes that differ from step to step."""
+    prob = small_instance(n_t)
+    t = np.arange(n_t, dtype=float)[:, None]
+    lower = np.hstack([-1.0 - 0.5 * t, 0.2 * t - 1.5])
+    upper = lower + np.array([[0.5, 2.0]]) + 0.25 * t
+    return problem.TimeVaryingProblem(prob.plant, problem.BoxSchedule(lower, upper), prob.costs)
+
+
+BOXED = varying_box_instance()
+COORD = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(0, BOXED.n_steps),
+    z=st.one_of(
+        hnp.arrays(float, 2, elements=COORD),
+        hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(2)), elements=COORD),
+    ),
+)
+def test_projection_lands_in_the_step_box_and_is_idempotent(t, z):
+    pz = BOXED.project(z, t)
+    assert pz.shape == z.shape
+    assert np.all(pz >= BOXED.boxes.lower[t]) and np.all(pz <= BOXED.boxes.upper[t])
+    np.testing.assert_array_equal(BOXED.project(pz, t), pz)

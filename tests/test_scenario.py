@@ -17,6 +17,11 @@ TINY = replace(
 )
 
 
+def run_one(prob, cfg, p, mode, exp_index):
+    """One run of the study: the batch of one of ``run_experiments``."""
+    return scenario.run_experiments(prob, cfg, mode, [(p, exp_index)])[0]
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="horizon"):
         ScenarioConfig(horizon=0)
@@ -138,14 +143,14 @@ def test_seed_cost_learners_defaults():
 def test_run_experiment_pairs_modes_and_validates():
     cfg = TINY
     prob = scenario.build_scenario(cfg)
-    exact = scenario.run_experiment(prob, cfg, 1.0, "exact", 0)
-    gp = scenario.run_experiment(prob, cfg, 1.0, "gp", 0)
+    exact = run_one(prob, cfg, 1.0, "exact", 0)
+    gp = run_one(prob, cfg, 1.0, "gp", 0)
     # same experiment index, same main stream: identical start and pattern
     np.testing.assert_array_equal(exact.x[0], gp.x[0])
     np.testing.assert_array_equal(exact.v, gp.v)
     assert exact.n_steps == cfg.horizon
     with pytest.raises(ValueError, match="mode"):
-        scenario.run_experiment(prob, cfg, 1.0, "nn", 0)
+        run_one(prob, cfg, 1.0, "nn", 0)
 
 
 def test_learner_datasets_are_kept_per_profile(monkeypatch):
@@ -162,7 +167,7 @@ def test_learner_datasets_are_kept_per_profile(monkeypatch):
         return real(learner, xs)
 
     monkeypatch.setattr(gplearn.GPPosterior, "mean_gradient", spy)
-    scenario.run_experiment(prob, cfg, 1.0, "gp", 0)
+    run_one(prob, cfg, 1.0, "gp", 0)
     seeds = cfg.gp_seed_obs
     # queries happen before the step's own evaluation is recorded
     assert seen[5] == seeds          # evals at t=5,10,15 land after the query
@@ -180,7 +185,7 @@ def test_batched_gp_runs_are_their_own_runs():
     runs = [(p, e) for p in cfg.p_values for e in range(cfg.n_experiments)]
     batch = scenario.run_experiments(prob, cfg, "gp", runs)
     for (p, e), traj in zip(runs, batch):
-        alone = scenario.run_experiment(prob, cfg, p, "gp", e)
+        alone = run_one(prob, cfg, p, "gp", e)
         for name in ("x", "v", "d", "e_norm"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
 
@@ -199,7 +204,7 @@ def test_suite_statistics_and_parallel_determinism():
     for key in res1.mean_d:
         np.testing.assert_array_equal(res1.mean_d[key], res2.mean_d[key])
         np.testing.assert_array_equal(res1.std_d[key], res2.std_d[key])
-        assert res1.per_experiment[key].shape == (cfg.n_experiments, cfg.horizon)
+        assert res1.mean_d[key].shape == res1.std_d[key].shape == (cfg.horizon,)
     assert set(res1.mean_d) == {
         (p, m) for p in cfg.p_values for m in cfg.modes
     }

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from feedopt import subweibull as sw
 
@@ -197,3 +200,69 @@ def test_declared_moments_hold_empirically_small_scale():
         for k in (1, 2, 4):
             emp = float(np.mean(draws**k)) ** (1.0 / k)
             assert emp <= sampler.declared.moment_bound(k) * 1.01
+
+
+# -- properties ------------------------------------------------------------------
+
+THETA = st.floats(0.01, 10.0)
+NU = st.floats(0.0, 1e6)
+CERT = st.builds(sw.SubWeibull, THETA, NU)
+
+
+def at_most(a, b):
+    """``a <= b`` up to one rounding of ``pow`` (two ulps)."""
+    return a <= b or math.isclose(a, b, rel_tol=4.5e-16, abs_tol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=CERT, theta2=THETA, nu2=NU)
+def test_include_never_shrinks(c, theta2, nu2):
+    if theta2 >= c.theta and nu2 >= c.nu:
+        assert c.include(theta2, nu2) == sw.SubWeibull(theta2, nu2)
+    else:
+        with pytest.raises(ValueError, match="widen"):
+            c.include(theta2, nu2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=CERT, d=CERT)
+def test_add_never_shrinks(c, d):
+    out = c.add(d)
+    assert out.theta >= c.theta and out.theta >= d.theta
+    assert out.nu >= c.nu and out.nu >= d.nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=CERT, a=st.floats(-1e3, 1e3))
+def test_scale_keeps_theta_and_multiplies_nu(c, a):
+    # scaling may shrink nu (|a| < 1): it is exact, not a widening
+    out = c.scale(a)
+    assert out.theta == c.theta
+    assert out.nu == abs(a) * c.nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ks=st.lists(st.floats(1.0, 1e3), min_size=2, max_size=2),
+    thetas=st.lists(THETA, min_size=2, max_size=2),
+    nus=st.lists(NU, min_size=2, max_size=2),
+)
+def test_moment_bound_is_nondecreasing_in_k_theta_and_nu(ks, thetas, nus):
+    (k1, k2), (t1, t2), (n1, n2) = sorted(ks), sorted(thetas), sorted(nus)
+    assert at_most(sw.SubWeibull(t1, n1).moment_bound(k1), sw.SubWeibull(t1, n1).moment_bound(k2))
+    assert at_most(sw.SubWeibull(t1, n1).moment_bound(k1), sw.SubWeibull(t2, n1).moment_bound(k1))
+    assert at_most(sw.SubWeibull(t1, n1).moment_bound(k1), sw.SubWeibull(t1, n2).moment_bound(k1))
+
+
+def grid_unit_nu(theta):
+    """The unit Weibull scale ``sup_k Gamma(1 + k theta)^(1/k) / k^theta`` by
+    a 20,001-point grid on ``k`` in ``[1, 512]``."""
+    k = np.linspace(1.0, 512.0, 20001)
+    log_ratio = gammaln(1.0 + k * theta) / k - theta * np.log(k)
+    return float(np.exp(log_ratio.max()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.01, 10.0))
+def test_weibull_scale_closed_form_equals_the_grid_supremum(theta):
+    assert sw.weibull_tail(theta, 1.0).declared.nu == grid_unit_nu(theta)

@@ -16,13 +16,16 @@ re-projected onto the current feasible box:
 One kernel, :func:`simulate`, advances a batch of independent runs as an
 ``(R, m)`` array, one step at a time; :func:`run` is its batch of one.
 
-Randomness protocol: every run owns its generator and consumes it exactly
-as it would alone.  At each step, run by run, the generator is drawn in the
-fixed order (availability uniform, eps, xi, measurement noise), and the
-noise is drawn even on steps where no measurement arrives.  Runs with the
-same stream but different ``p`` therefore share one underlying sample
-path, and their availability indicators are monotone in ``p`` (v
-coupling), which makes cross-``p`` comparisons well paired.
+Randomness protocol: every generator is consumed exactly as a lone run
+would consume it.  At each step, generator by generator in first-seen
+order, it is drawn in the fixed order (availability uniform, eps, xi,
+measurement noise), and the noise is drawn even on steps where no
+measurement arrives.  Runs given the same generator object share its
+draws: each step's numbers are drawn once and handed to all of them, so
+each sees exactly what a lone run on a fresh copy of that generator would.
+Runs with the same stream but different ``p`` therefore share one
+underlying sample path, and their availability indicators are monotone in
+``p`` (v coupling), which makes cross-``p`` comparisons well paired.
 
 The batch arithmetic is row-independent: products with the plant matrix
 and norms are summed elementwise in a fixed order rather than by a BLAS
@@ -117,9 +120,10 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
     """Advance ``R = len(rngs)`` independent runs together for ``n_steps`` steps.
 
     ``x0`` holds ``(R, m)`` starting points, one ``(m,)`` point for every
-    run, or None for the step-0 box midpoint.  Run ``r`` draws from
-    ``rngs[r]`` only.  ``n_steps`` defaults to the full schedule and ``p``
-    (a scalar or one value per run) to ``cfg.p``.
+    run, or None for the step-0 box midpoint.  Run ``r`` takes its draws
+    from ``rngs[r]`` only, and runs given the same generator object share
+    them.  ``n_steps`` defaults to the full schedule and ``p`` (a scalar or
+    one value per run) to ``cfg.p``.
 
     ``input_grad(X, t) -> (R, m)`` optionally replaces the model term
     ``grad U_t(x) + eps_t`` at the iterates ``X = x_{t-1}`` (learned costs);
@@ -158,27 +162,33 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
     e_norm = np.zeros((n_runs, n_steps + 1))
     x[:, 0] = x0
     d[:, 0] = np.sqrt(_rowsum((x0 - optima[0]) ** 2))
-    u, noise = np.empty(n_runs), np.empty((n_runs, n_out))
-    eps, xi = np.empty((n_runs, m)), np.empty((n_runs, m))
+    # one row of draws per distinct generator; run r reads row owner[r]
+    streams = list({id(rng): rng for rng in rngs}.values())
+    row_of = {id(rng): k for k, rng in enumerate(streams)}
+    owner = np.array([row_of[id(rng)] for rng in rngs], dtype=np.intp)
+    u, noise = np.empty(len(streams)), np.empty((len(streams), n_out))
+    eps, xi = np.empty((len(streams), m)), np.empty((len(streams), m))
 
     for t in range(1, n_steps + 1):
         x_prev = x[:, t - 1]
-        # fixed per-run consumption order; draws happen regardless of availability
-        for r, rng in enumerate(rngs):
-            u[r] = rng.random()
-            eps[r] = cfg.eps_sampler.sample(rng, m)
-            xi[r] = cfg.xi_sampler.sample(rng, m)
-            noise[r] = cfg.meas_noise.sample(rng, n_out)
-        avail = u < p
+        # fixed per-generator consumption order; draws happen regardless of availability
+        for k, rng in enumerate(streams):
+            u[k] = rng.random()
+            eps[k] = cfg.eps_sampler.sample(rng, m)
+            xi[k] = cfg.xi_sampler.sample(rng, m)
+            noise[k] = cfg.meas_noise.sample(rng, n_out)
+        xi_r = xi[owner]
+        avail = u[owner] < p
         if input_grad is None:
-            model_term = prob.u_gradient(x_prev, t) + eps
-            err = eps + xi
+            eps_r = eps[owner]
+            model_term = prob.u_gradient(x_prev, t) + eps_r
+            err = eps_r + xi_r
         else:
             model_term = np.asarray(input_grad(x_prev, t), dtype=float)
-            err = (model_term - prob.u_gradient(x_prev, t)) + xi
+            err = (model_term - prob.u_gradient(x_prev, t)) + xi_r
         e_norm[:, t] = np.sqrt(_rowsum(err**2))
-        y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise
-        grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi
+        y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise[owner]
+        grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi_r
         v[:, t] = avail
         x[:, t] = prob.project(np.where(avail[:, None], x_prev - cfg.alpha * grad, x_prev), t)
         d[:, t] = np.sqrt(_rowsum((x[:, t] - optima[t]) ** 2))

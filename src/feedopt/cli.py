@@ -133,6 +133,19 @@ def _validation_setup(scen, val):
     return prob, acfg, n_steps
 
 
+def _dump_instance(path: str, scen, prob) -> None:
+    """The bytes of ``json.dump({"seed", "horizon", "problem": prob.to_dict()})``
+    and a newline, written one problem field at a time.  ``json.dump`` always
+    takes the pure-Python encoder; one ``json.dumps`` per field takes the C
+    one, and one field's list is alive at a time, not the whole instance's."""
+    head = json.dumps({"seed": scen.seed, "horizon": scen.horizon})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head[:-1] + ', "problem": {')
+        for i, (name, value) in enumerate(prob.iter_dict()):
+            fh.write((", " if i else "") + json.dumps(name) + ": " + json.dumps(value))
+        fh.write("}}\n")
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -157,10 +170,7 @@ def _cmd_run_scenario(args) -> int:
 
     result = scenario.run_suite(scen, prob=prob, n_jobs=max(1, args.jobs), trajectory_sink=sink)
     result.to_csv(os.path.join(args.out, "suite_summary.csv"))
-    payload = {"seed": scen.seed, "horizon": scen.horizon, "problem": prob.to_dict()}
-    with open(os.path.join(args.out, "scenario_instance.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    _dump_instance(os.path.join(args.out, "scenario_instance.json"), scen, prob)
     for p in scen.p_values:
         for mode in scen.modes:
             print(
@@ -223,10 +233,11 @@ def _cmd_bound_curve(args) -> int:
         ]
     _prepare_out(args.out, names, args.overwrite)
     _echo_config(args.out, scen, val)
+    # p enters only the inputs' own p field, so the Monte Carlo error estimate runs once
+    base = bounds.bound_inputs_from_problem(prob, acfg, n_steps, seed=val.seed)
     for p in ps:
         ptag = format(p, "g")
-        cfg_p = replace(acfg, p=p)
-        inputs = bounds.bound_inputs_from_problem(prob, cfg_p, n_steps, seed=val.seed)
+        inputs = replace(base, p=p)
         bounds.expectation_bound(inputs, n_steps).to_csv(
             os.path.join(args.out, f"bound_expectation_p{ptag}.csv")
         )

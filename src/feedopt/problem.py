@@ -222,15 +222,15 @@ class TimeVaryingProblem:
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "G": self.plant.G.tolist(),
-            "H": self.plant.H.tolist(),
-            "lower": self.boxes.lower.tolist(),
-            "upper": self.boxes.upper.tolist(),
-            "beta": self.costs.beta,
-            "y_ref": self.costs.y_ref.tolist(),
-            "a": self.costs.a.tolist(),
-            "b": self.costs.b.tolist(),
-            "c": self.costs.c.tolist(),
-            "w": self.costs.w.tolist(),
-        }
+        return dict(self.iter_dict())
+
+    def iter_dict(self):
+        """The items of :meth:`to_dict`, each field made a list only when reached."""
+        plant, boxes, costs = self.plant, self.boxes, self.costs
+        fields = (
+            ("G", plant.G), ("H", plant.H), ("lower", boxes.lower), ("upper", boxes.upper),
+            ("beta", costs.beta), ("y_ref", costs.y_ref),
+            ("a", costs.a), ("b", costs.b), ("c", costs.c), ("w", costs.w),
+        )
+        for name, value in fields:
+            yield name, value.tolist() if isinstance(value, np.ndarray) else value

@@ -22,7 +22,6 @@ comparisons are paired.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -255,6 +254,9 @@ def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
     starting point, the measurement pattern and the noise; a separate one
     drives the cost evaluations for the learner, so ``exact`` and ``gp``
     runs of the same experiment, at any ``p``, see identical sample paths.
+    The runs of one experiment share one main generator, so the kernel
+    draws its path once per step for all of them; each run keeps its own
+    evaluation generator, which the learner draws from run by run.
 
     In ``gp`` mode every run has its own GPs, one per coordinate, held in
     one learner of batch ``(R, m)``.  The owners signal profile changes, so
@@ -268,11 +270,15 @@ def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
     """
     if mode not in ("exact", "gp"):
         raise ValueError(f"mode must be 'exact' or 'gp', got {mode!r}")
-    rng_main, rng_obs = (
-        [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, e, k))) for _, e in runs]
-        for k in (0, 1)
-    )
-    x0 = [rng.uniform(prob.boxes.lower[0], prob.boxes.upper[0]) for rng in rng_main]
+
+    def stream(e, k):
+        return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, e, k)))
+
+    # one main generator and starting point per experiment, shared by its runs
+    main = {e: stream(e, 0) for _, e in runs}
+    start = {e: rng.uniform(prob.boxes.lower[0], prob.boxes.upper[0]) for e, rng in main.items()}
+    rng_main, x0 = [main[e] for _, e in runs], [start[e] for _, e in runs]
+    rng_obs = [stream(e, 1) for _, e in runs]
     ps = [p for p, _ in runs]
     acfg = algo_config(cfg, ps[0])  # the kernel takes each run's own p from ``ps``
     hooks = {}
@@ -314,23 +320,15 @@ class ExperimentResult:
 
     def to_csv(self, path) -> None:
         """Rows ``p, mode, t, mean_d, std_d`` in config order, t ascending."""
+        row = "{},{},{:d},{:.15g},{:.15g}\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["p", "mode", "t", "mean_d", "std_d"])
+            fh.write("p,mode,t,mean_d,std_d\n")
             for p in self.p_values:
+                ptag = format(float(p), ".15g")
                 for mode in self.modes:
-                    mean = self.mean_d[(p, mode)]
-                    std = self.std_d[(p, mode)]
-                    for i in range(self.horizon):
-                        writer.writerow(
-                            [
-                                format(float(p), ".15g"),
-                                mode,
-                                i + 1,
-                                format(float(mean[i]), ".15g"),
-                                format(float(std[i]), ".15g"),
-                            ]
-                        )
+                    columns = (self.mean_d[(p, mode)].tolist(), self.std_d[(p, mode)].tolist())
+                    rows = zip(range(1, self.horizon + 1), *columns)
+                    fh.writelines(row.format(ptag, mode, *r) for r in rows)
 
 
 def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=None) -> ExperimentResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -166,9 +166,9 @@ def validate_hp_bound(prob, cfg, n_steps, n_trials, deltas, check_times, seed, n
         raise ValueError(f"check times must lie in [1, {n_steps}], got {check_times}")
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     report = ValidationReport([], seed)
+    base = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=seed)
     for delta in deltas:
-        inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps, delta=delta, seed=seed)
-        curve = bounds.hp_bound_trajectory(inputs, n_steps)
+        curve = bounds.hp_bound_trajectory(replace(base, delta=delta), n_steps)
         allowance = float(binom.ppf(0.99, n_trials, delta)) / n_trials
         for t in check_times:
             freq = float(np.mean(d[:, t] > curve.value[t]))

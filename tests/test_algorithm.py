@@ -273,6 +273,31 @@ def test_batch_rows_are_their_own_runs(n_runs, n_steps, seeds, ps):
         assert np.all(shared[hi].v >= shared[lo].v)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n_steps=st.integers(1, 30),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_runs_sharing_a_generator_each_see_a_lone_run(n_steps, seeds, data):
+    prob = drifting_problem()
+    cfg = noisy_config()
+    n_runs = data.draw(st.integers(1, 8), label="n_runs")
+    owner = data.draw(
+        st.lists(st.integers(0, len(seeds) - 1), min_size=n_runs, max_size=n_runs), label="owner"
+    )
+    ps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_runs, max_size=n_runs), label="ps")
+    gens = [np.random.default_rng(s) for s in seeds]
+    batch = algorithm.simulate(prob, cfg, None, [gens[k] for k in owner], n_steps=n_steps, p=ps)
+    for traj, k, p in zip(batch, owner, ps):
+        lone_rng = np.random.default_rng(seeds[k])
+        alone = algorithm.run(prob, replace(cfg, p=p), n_steps=n_steps, rng=lone_rng)
+        for name in ("x", "v", "d", "e_norm"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+        # a shared generator advanced once per step, exactly as far as the lone one
+        assert gens[k].bit_generator.state == lone_rng.bit_generator.state
+
+
 def test_trajectory_record_and_csv(tmp_path):
     prob = static_problem()
     traj = algorithm.run(prob, quiet_config(0.2, 1.0), n_steps=3)

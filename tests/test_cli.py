@@ -73,15 +73,19 @@ def test_console_entry_point():
 
 def test_run_scenario_outputs_and_determinism(tmp_path, capsys):
     cfg = ini(tmp_path, TINY_SCENARIO)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
+    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert cli.main(["run-scenario", "--config", cfg, "--out", str(out1)]) == 0
-    assert cli.main(
-        ["run-scenario", "--config", cfg, "--out", str(out2), "--jobs", "2"]
-    ) == 0
+    for out, jobs in ((out2, "2"), (out3, "3")):
+        assert cli.main(
+            ["run-scenario", "--config", cfg, "--out", str(out), "--jobs", jobs]
+        ) == 0
     stdout = capsys.readouterr().out
     assert "final-500-step mean error" in stdout
-    files1, files2 = read_outputs(out1), read_outputs(out2)
-    assert files1 == files2  # byte identical at any parallelism
+    files1 = read_outputs(out1)
+    # byte identical at any parallelism; at --jobs 3 the chunks are
+    # [(0.5, e0)], [(0.5, e1)], [(1, e0), (1, e1)], so the runs sharing
+    # experiment 0's stream land in different worker processes
+    assert files1 == read_outputs(out2) == read_outputs(out3)
     expected = {"suite_summary.csv", "scenario_instance.json"}
     expected |= {
         f"traj_p{p}_{m}_e{e}.csv"
@@ -106,9 +110,11 @@ def test_instance_dump_round_trip(tmp_path):
     )
     clone = from_dict(payload["problem"])
     scen, _ = config.load_config(cfg)
-    np.testing.assert_array_equal(
-        clone.optimal_points(), scenario.build_scenario(scen).optimal_points()
-    )
+    prob = scenario.build_scenario(scen)
+    np.testing.assert_array_equal(clone.optimal_points(), prob.optimal_points())
+    # the bytes are those of one json.dumps of the whole payload
+    expected = json.dumps({"seed": scen.seed, "horizon": scen.horizon, "problem": prob.to_dict()})
+    assert (out / "scenario_instance.json").read_bytes() == (expected + "\n").encode()
 
 
 def test_run_scenario_refuses_to_clobber(tmp_path, capsys):

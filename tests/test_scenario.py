@@ -1,5 +1,6 @@
 """Demand-response study: instance generation, profile switching, the suite."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,28 @@ def test_plateau_and_csv(tmp_path):
     assert len(lines) == 1 + len(cfg.p_values) * len(cfg.modes) * cfg.horizon
     first = lines[1].split(",")
     assert first[:3] == ["0.5", "exact", "1"]
+
+
+def test_summary_csv_matches_a_csv_writer_reference(tmp_path):
+    vals = np.array([0.0, -0.0, 1e-300, 1e-5, 1.5e16, np.inf, np.nan, 1.0 / 3.0, -2.5e-7])
+    res = scenario.ExperimentResult(
+        p_values=(0.4, 1.0), modes=("exact", "gp"), horizon=vals.size, n_experiments=2
+    )
+    for i, key in enumerate((p, m) for p in res.p_values for m in res.modes):
+        res.mean_d[key] = np.roll(vals, i)
+        res.std_d[key] = np.roll(vals[::-1], i)
+    res.to_csv(tmp_path / "summary.csv")
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["p", "mode", "t", "mean_d", "std_d"])
+        for p in res.p_values:
+            for mode in res.modes:
+                for i in range(res.horizon):
+                    mean, std = res.mean_d[(p, mode)][i], res.std_d[(p, mode)][i]
+                    writer.writerow(
+                        [format(p, ".15g"), mode, i + 1, format(mean, ".15g"), format(std, ".15g")]
+                    )
+    assert (tmp_path / "summary.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_scaled_down_keeps_proportions():

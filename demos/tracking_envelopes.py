@@ -28,13 +28,13 @@ def main() -> None:
 
     d = validation.run_trials(prob, cfg, n_steps, args.trials, seed=args.seed)
     inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=args.seed)
-    exp_curve = bounds.expectation_bound(inputs, n_steps)
+    exp_curve = bounds.expectation_bound(inputs)
 
     delta = 0.1
     hp_inputs = bounds.bound_inputs_from_problem(
         prob, cfg, n_steps, delta=delta, seed=args.seed
     )
-    hp_curve = bounds.hp_bound_trajectory(hp_inputs, n_steps)
+    hp_curve = bounds.hp_bound_trajectory(hp_inputs)
 
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(args.trials)

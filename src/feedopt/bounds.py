@@ -97,11 +97,13 @@ class BoundInputs:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"availability probability must lie in (0, 1], got {self.p}")
         n = self.zeta_t.shape[0]
+        if n < 2:
+            raise ValueError("envelopes need a horizon of at least one step")
         if self.phi.shape[0] != n - 1:
             raise ValueError("phi must have one entry fewer than zeta_t")
         if self.e_mean.shape[0] != n or self.nu_e.shape[0] != n:
             raise ValueError("e_mean and nu_e must align with zeta_t")
-        if n >= 2 and not np.all((self.zeta_t[1:] > 0) & (self.zeta_t[1:] < 1)):
+        if not np.all((self.zeta_t[1:] > 0) & (self.zeta_t[1:] < 1)):
             raise ValueError("contraction factors must lie in (0, 1); check alpha against 2/L")
         if np.any(self.phi < 0) or np.any(self.e_mean < 0) or np.any(self.nu_e < 0):
             raise ValueError("phi, e_mean and nu_e must be nonnegative")
@@ -143,24 +145,15 @@ class BoundCurve:
             fh.writelines("{:d},{:.15g},{:.15g},{:.15g},{:.15g}\n".format(*r) for r in rows)
 
 
-def _check_horizon(inputs: BoundInputs, n_steps) -> int:
-    if n_steps is None:
-        n_steps = inputs.horizon
-    n_steps = int(n_steps)
-    if not 1 <= n_steps <= inputs.horizon:
-        raise ValueError(f"horizon must lie in [1, {inputs.horizon}], got {n_steps}")
-    return n_steps
-
-
-def expectation_bound(inputs: BoundInputs, n_steps=None) -> BoundCurve:
-    """Exact expectation envelope for ``E[d_t]`` over ``t = 0 .. n_steps``.
+def expectation_bound(inputs: BoundInputs) -> BoundCurve:
+    """Exact expectation envelope for ``E[d_t]`` over ``t = 0 .. inputs.horizon``.
 
     Row 0 is the anchor ``E[d_0]`` itself.  The transient is accumulated in
     log space; path and error contributions use the forward recurrences
     stated in the module docstring, which reproduce the product-weighted
     sums exactly.
     """
-    T = _check_horizon(inputs, n_steps)
+    T = inputs.horizon
     rho = inputs.rho
     transient = np.empty(T + 1)
     path = np.zeros(T + 1)
@@ -179,7 +172,7 @@ def expectation_bound(inputs: BoundInputs, n_steps=None) -> BoundCurve:
     )
 
 
-def expectation_bound_asymptotic(inputs: BoundInputs, n_steps=None) -> BoundCurve:
+def expectation_bound_asymptotic(inputs: BoundInputs) -> BoundCurve:
     """Geometric relaxation of the expectation envelope.
 
     Uses the worst rate ``rho = max_t rho_t`` and running suprema of the
@@ -190,17 +183,18 @@ def expectation_bound_asymptotic(inputs: BoundInputs, n_steps=None) -> BoundCurv
     Dominates :func:`expectation_bound` everywhere and converges to the
     fixed-point level as ``t`` grows.
     """
-    T = _check_horizon(inputs, n_steps)
-    rho_sup = float(inputs.rho[1 : T + 1].max())
+    T = inputs.horizon
+    rho_sup = float(inputs.rho[1:].max())
+    # 1 - p + p zeta_t rounds to 1 for tiny p although every zeta_t < 1
     if not rho_sup < 1.0:
         raise ValueError(f"effective rate must be below 1, got {rho_sup}")
     gain = 1.0 / (1.0 - rho_sup)
     t = np.arange(T + 1)
     transient = inputs.d0 * rho_sup**t
-    phi_run = np.maximum.accumulate(inputs.phi[:T])
+    phi_run = np.maximum.accumulate(inputs.phi)
     # phi has entries 0..T-1; the running sup at time t uses indices <= min(t, T-1)
     path = gain * np.concatenate((phi_run, [phi_run[-1]]))
-    err_run = np.maximum.accumulate(inputs.e_mean[: T + 1])
+    err_run = np.maximum.accumulate(inputs.e_mean)
     error = inputs.alpha * inputs.p * gain * err_run
     return BoundCurve(
         t=t, value=transient + path + error, transient=transient,
@@ -310,7 +304,7 @@ def binomial_moment(zeta_val: float, p: float, t: int, k: float) -> float:
     return float((1.0 - p + p * zeta_val**k) ** (t / k))
 
 
-def hp_bound_trajectory(inputs: BoundInputs, n_steps=None) -> BoundCurve:
+def hp_bound_trajectory(inputs: BoundInputs) -> BoundCurve:
     """High-probability envelope at level ``1 - inputs.delta``.
 
     ``value[t]`` uses the joint supremum ``sup_i {alpha nu_e_i + phi_i/p}``
@@ -323,16 +317,16 @@ def hp_bound_trajectory(inputs: BoundInputs, n_steps=None) -> BoundCurve:
     """
     if inputs.delta is None:
         raise ValueError("hp envelope needs inputs.delta set")
-    T = _check_horizon(inputs, n_steps)
+    T = inputs.horizon
     theta_x = max(1.0, inputs.theta_eps, inputs.theta_xi)
     pref = math.log(2.0 / inputs.delta) ** theta_x * (2.0 * math.e / theta_x) ** theta_x
 
-    phi_pad = np.concatenate((inputs.phi[:T], [0.0]))
-    joint = inputs.alpha * inputs.nu_e[: T + 1] + phi_pad / inputs.p
+    phi_pad = np.concatenate((inputs.phi, [0.0]))
+    joint = inputs.alpha * inputs.nu_e + phi_pad / inputs.p
     joint_run = np.maximum.accumulate(joint)
-    nu_run = np.maximum.accumulate(inputs.alpha * inputs.nu_e[: T + 1])
+    nu_run = np.maximum.accumulate(inputs.alpha * inputs.nu_e)
     phi_run = np.maximum.accumulate(phi_pad / inputs.p)
-    zeta_run = np.maximum.accumulate(inputs.zeta_t[1 : T + 1])
+    zeta_run = np.maximum.accumulate(inputs.zeta_t[1:])
 
     t = np.arange(1, T + 1)
     # eta(0) = 1 and geo(0) = 0: no updates have happened yet

@@ -134,7 +134,7 @@ def _validation_setup(scen, val):
 
 
 def _dump_instance(path: str, scen, prob) -> None:
-    """The bytes of ``json.dump({"seed", "horizon", "problem": prob.to_dict()})``
+    """The bytes of ``json.dump({"seed", "horizon", "problem": dict(prob.iter_dict())})``
     and a newline, written one problem field at a time.  ``json.dump`` always
     takes the pure-Python encoder; one ``json.dumps`` per field takes the C
     one, and one field's list is alive at a time, not the whole instance's."""
@@ -238,14 +238,14 @@ def _cmd_bound_curve(args) -> int:
     for p in ps:
         ptag = format(p, "g")
         inputs = replace(base, p=p)
-        bounds.expectation_bound(inputs, n_steps).to_csv(
+        bounds.expectation_bound(inputs).to_csv(
             os.path.join(args.out, f"bound_expectation_p{ptag}.csv")
         )
-        bounds.expectation_bound_asymptotic(inputs, n_steps).to_csv(
+        bounds.expectation_bound_asymptotic(inputs).to_csv(
             os.path.join(args.out, f"bound_asymptotic_p{ptag}.csv")
         )
         for d in val.deltas:
-            bounds.hp_bound_trajectory(replace(inputs, delta=d), n_steps).to_csv(
+            bounds.hp_bound_trajectory(replace(inputs, delta=d)).to_csv(
                 os.path.join(args.out, f"bound_hp_p{ptag}_delta{format(d, 'g')}.csv")
             )
     print(f"wrote {len(names)} files to {args.out}")

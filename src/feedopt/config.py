@@ -5,15 +5,18 @@ A config file carries the sections ``[plant]``, ``[costs]``,
 ``[validation]``.  Every key is optional and falls back to the defaults of
 :class:`feedopt.scenario.ScenarioConfig` / :class:`ValidationSettings`;
 unknown sections or keys are rejected so typos cannot silently change a
-study.  Lists are comma separated, ``auto``/``none`` select the documented
-adaptive defaults.
+study.  Each value is parsed by the type its dataclass field declares:
+``int``, ``float`` and ``str`` as written, ``X | None`` from ``auto`` or
+``none`` (any case) or else as ``X``, and tuples as comma-separated lists,
+whose length is checked when the type fixes it.  A new setting is one
+dataclass field plus its key in :data:`_SECTIONS`.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 from .scenario import ScenarioConfig
 
@@ -37,12 +40,12 @@ class ValidationSettings:
     drift: float = 0.6
     n_trials_mean: int = 1000
     n_trials_hp: int = 2000
-    deltas: tuple = (0.3, 0.1)
-    check_times: tuple = (50, 250, 500)
-    moment_zetas: tuple = (0.5, 0.9)
-    moment_ps: tuple = (0.3, 0.7, 1.0)
-    moment_ts: tuple = (5, 50)
-    moment_ks: tuple = (1, 2, 4)
+    deltas: tuple[float, ...] = (0.3, 0.1)
+    check_times: tuple[int, ...] = (50, 250, 500)
+    moment_zetas: tuple[float, ...] = (0.5, 0.9)
+    moment_ps: tuple[float, ...] = (0.3, 0.7, 1.0)
+    moment_ts: tuple[int, ...] = (5, 50)
+    moment_ks: tuple[int, ...] = (1, 2, 4)
     moment_samples: int = 10**5
     sampler_samples: int = 10**6
     closure_dim: int = 4
@@ -55,149 +58,65 @@ class ValidationSettings:
             raise ConfigError(f"validation p must lie in (0, 1], got {self.p}")
 
 
-# parsing helpers ------------------------------------------------------------
-
-
-def _to_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from exc
-
-
-def _to_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
-
-
-def _to_float_or_none(raw: str, where: str):
-    if raw.strip().lower() in ("none", "auto"):
-        return None
-    return _to_float(raw, where)
-
-
-def _to_int_or_none(raw: str, where: str):
-    if raw.strip().lower() in ("none", "auto"):
-        return None
-    return _to_int(raw, where)
-
-
-def _split(raw: str):
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
-
-def _to_floats(raw: str, where: str) -> tuple:
-    return tuple(_to_float(part, where) for part in _split(raw))
-
-
-def _to_ints(raw: str, where: str) -> tuple:
-    return tuple(_to_int(part, where) for part in _split(raw))
-
-
-def _to_strs(raw: str, where: str) -> tuple:
-    return tuple(_split(raw))
-
-
-def _to_str(raw: str, where: str) -> str:
-    return raw.strip()
-
-
-def _to_pair(raw: str, where: str) -> tuple:
-    vals = _to_floats(raw, where)
-    if len(vals) != 2:
-        raise ConfigError(f"{where}: expected two comma-separated numbers, got {raw!r}")
-    return vals
-
-
-def _to_quad(raw: str, where: str) -> tuple:
-    vals = _to_floats(raw, where)
-    if len(vals) != 4:
-        raise ConfigError(f"{where}: expected four comma-separated numbers, got {raw!r}")
-    return vals
-
-
-# section -> key -> (ScenarioConfig field, converter)
-_SCENARIO_KEYS = {
-    "plant": {
-        "n_ders": ("n_ders", _to_int),
-        "n_pcc": ("n_pcc", _to_int),
-        "n_loads": ("n_loads", _to_int),
-    },
-    "costs": {
-        "beta": ("beta", _to_float),
-        "a_range_one": ("a_range_one", _to_pair),
-        "a_range_two": ("a_range_two", _to_pair),
-        "b_range": ("b_range", _to_pair),
-        "switch_steps": ("switch_steps", _to_ints),
-        "ref_base": ("ref_base", _to_float),
-        "ref_amplitude": ("ref_amplitude", _to_float),
-        "ref_period": ("ref_period", _to_int),
-        "dist_base": ("dist_base", _to_float),
-        "dist_amplitude": ("dist_amplitude", _to_float),
-        "dist_period": ("dist_period", _to_int),
-        "trace_decay": ("trace_decay", _to_float),
-        "obs_noise_sigma": ("obs_noise_sigma", _to_float),
-    },
-    "constraints": {
-        "box_one": None,  # handled jointly below
-        "box_two": None,
-        "box_three": None,
-        "box_period": ("box_period", _to_int),
-    },
-    "algorithm": {
-        "alpha": ("alpha", _to_float),
-        "p_values": ("p_values", _to_floats),
-        "eps_kind": ("eps_kind", _to_str),
-        "eps_scale": ("eps_scale", _to_float),
-        "eps_theta": ("eps_theta", _to_float),
-        "xi_kind": ("xi_kind", _to_str),
-        "xi_scale": ("xi_scale", _to_float),
-        "xi_theta": ("xi_theta", _to_float),
-        "meas_kind": ("meas_kind", _to_str),
-        "meas_scale": ("meas_scale", _to_float),
-        "meas_theta": ("meas_theta", _to_float),
-    },
-    "gp": {
-        "sigma_f2": ("gp_sigma_f2", _to_float_or_none),
-        "ell": ("gp_ell", _to_float_or_none),
-        "noise_var": ("gp_noise_var", _to_float_or_none),
-        "seed_obs": ("gp_seed_obs", _to_int),
-        "eval_period": ("eval_period", _to_int),
-        "max_obs": ("gp_max_obs", _to_int_or_none),
-    },
-    "suite": {
-        "horizon": ("horizon", _to_int),
-        "n_experiments": ("n_experiments", _to_int),
-        "modes": ("modes", _to_strs),
-        "seed": ("seed", _to_int),
-    },
+# Section -> keys, in the order the echo writes them.  A key names the field
+# of the same name, with two exceptions: a [gp] key drops the ``gp_`` prefix
+# of its ScenarioConfig field, and box_one..box_three are the rows of
+# ``box_ranges``.
+_SECTIONS = {
+    "plant": ("n_ders", "n_pcc", "n_loads"),
+    "costs": (
+        "beta", "a_range_one", "a_range_two", "b_range", "switch_steps",
+        "ref_base", "ref_amplitude", "ref_period",
+        "dist_base", "dist_amplitude", "dist_period",
+        "trace_decay", "obs_noise_sigma",
+    ),
+    "constraints": ("box_one", "box_two", "box_three", "box_period"),
+    "algorithm": (
+        "alpha", "p_values",
+        "eps_kind", "eps_scale", "eps_theta",
+        "xi_kind", "xi_scale", "xi_theta",
+        "meas_kind", "meas_scale", "meas_theta",
+    ),
+    "gp": ("sigma_f2", "ell", "noise_var", "seed_obs", "eval_period", "max_obs"),
+    "suite": ("horizon", "n_experiments", "modes", "seed"),
+    "validation": tuple(f.name for f in fields(ValidationSettings)),
 }
 
-_VALIDATION_KEYS = {
-    "instance": ("instance", _to_str),
-    "n_inputs": ("n_inputs", _to_int),
-    "n_steps": ("n_steps", _to_int),
-    "p": ("p", _to_float),
-    "alpha": ("alpha", _to_float_or_none),
-    "error_scale": ("error_scale", _to_float),
-    "drift": ("drift", _to_float),
-    "n_trials_mean": ("n_trials_mean", _to_int),
-    "n_trials_hp": ("n_trials_hp", _to_int),
-    "deltas": ("deltas", _to_floats),
-    "check_times": ("check_times", _to_ints),
-    "moment_zetas": ("moment_zetas", _to_floats),
-    "moment_ps": ("moment_ps", _to_floats),
-    "moment_ts": ("moment_ts", _to_ints),
-    "moment_ks": ("moment_ks", _to_ints),
-    "moment_samples": ("moment_samples", _to_int),
-    "sampler_samples": ("sampler_samples", _to_int),
-    "closure_dim": ("closure_dim", _to_int),
-    "seed": ("seed", _to_int),
-}
+_BOXES = ("box_one", "box_two", "box_three")
 
-_BOX_KEYS = ("box_one", "box_two", "box_three")
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (ScenarioConfig, ValidationSettings)}
+
+_COUNTS = {2: "two", 4: "four"}
+
+
+def _field(section: str, key: str) -> tuple[type, str]:
+    """The dataclass and field an INI key sets (``box_ranges`` for a box row)."""
+    if section == "validation":
+        return ValidationSettings, key
+    if key in _BOXES:
+        return ScenarioConfig, "box_ranges"
+    if section == "gp" and "gp_" + key in _HINTS[ScenarioConfig]:
+        return ScenarioConfig, "gp_" + key
+    return ScenarioConfig, key
+
+
+def _parse(hint, raw: str, where: str):
+    """``raw`` read as a value of type ``hint``: ``int``, ``float``, ``str``,
+    ``X | None``, ``tuple[X, ...]`` or a fixed-length tuple of one type."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if raw.strip().lower() in ("none", "auto") else _parse(args[0], raw, where)
+    if typing.get_origin(hint) is tuple:
+        parts = [part.strip() for part in raw.split(",") if part.strip()]
+        vals = tuple(_parse(args[0], part, where) for part in parts)
+        if args[-1] is not Ellipsis and len(vals) != len(args):
+            raise ConfigError(f"{where}: expected {_COUNTS[len(args)]} comma-separated numbers, got {raw!r}")
+        return vals
+    try:
+        return hint(raw.strip())
+    except ValueError as exc:
+        expected = "an integer" if hint is int else "a number"
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from exc
 
 
 def load_config(path) -> tuple[ScenarioConfig, ValidationSettings]:
@@ -215,39 +134,25 @@ def load_config(path) -> tuple[ScenarioConfig, ValidationSettings]:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    scen_kwargs = {}
-    val_kwargs = {}
-    boxes = {}
+    kwargs = {ScenarioConfig: {}, ValidationSettings: {}}
+    boxes = list(ScenarioConfig.box_ranges)  # the default rows
     for section in parser.sections():
-        if section == "validation":
-            for key, raw in parser.items(section):
-                if key not in _VALIDATION_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in section [validation]")
-                fieldname, conv = _VALIDATION_KEYS[key]
-                val_kwargs[fieldname] = conv(raw, f"[validation] {key}")
-            continue
-        if section not in _SCENARIO_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _SCENARIO_KEYS[section]
         for key, raw in parser.items(section):
-            if key not in allowed:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            if key in _BOX_KEYS:
-                boxes[key] = _to_quad(raw, f"[{section}] {key}")
-                continue
-            fieldname, conv = allowed[key]
-            scen_kwargs[fieldname] = conv(raw, f"[{section}] {key}")
-    if boxes:
-        defaults = ScenarioConfig().box_ranges
-        scen_kwargs["box_ranges"] = tuple(
-            boxes.get(k, defaults[i]) for i, k in enumerate(_BOX_KEYS)
-        )
+            cls, name = _field(section, key)
+            hint, where = _HINTS[cls][name], f"[{section}] {key}"
+            if key in _BOXES:
+                boxes[_BOXES.index(key)] = _parse(typing.get_args(hint)[0], raw, where)
+            else:
+                kwargs[cls][name] = _parse(hint, raw, where)
+    kwargs[ScenarioConfig]["box_ranges"] = tuple(boxes)
     try:
-        scen = ScenarioConfig(**scen_kwargs)
-        val = ValidationSettings(**val_kwargs)
+        return ScenarioConfig(**kwargs[ScenarioConfig]), ValidationSettings(**kwargs[ValidationSettings])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return scen, val
 
 
 def with_seed(scen: ScenarioConfig, val: ValidationSettings, seed: int | None):
@@ -257,33 +162,29 @@ def with_seed(scen: ScenarioConfig, val: ValidationSettings, seed: int | None):
     return replace(scen, seed=int(seed)), replace(val, seed=int(seed))
 
 
+def _format(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, float):
+        return format(value, ".15g")
+    if isinstance(value, (list, tuple)):
+        return ", ".join(_format(v) for v in value)
+    return str(value)
+
+
 def dump_config(scen: ScenarioConfig, val: ValidationSettings) -> str:
     """Render configs back to INI text (fixed key order, full echo)."""
-
-    def fmt(value):
-        if value is None:
-            return "auto"
-        if isinstance(value, float):
-            return format(value, ".15g")
-        if isinstance(value, (list, tuple)):
-            return ", ".join(fmt(v) for v in value)
-        return str(value)
-
-    out = io.StringIO()
-    for section, keys in _SCENARIO_KEYS.items():
-        out.write(f"[{section}]\n")
-        if section == "constraints":
-            for i, key in enumerate(_BOX_KEYS):
-                out.write(f"{key} = {fmt(scen.box_ranges[i])}\n")
-            out.write(f"box_period = {fmt(scen.box_period)}\n")
-        else:
-            for key, (fieldname, _) in keys.items():
-                out.write(f"{key} = {fmt(getattr(scen, fieldname))}\n")
-        out.write("\n")
-    out.write("[validation]\n")
-    for key, (fieldname, _) in _VALIDATION_KEYS.items():
-        out.write(f"{key} = {fmt(getattr(val, fieldname))}\n")
-    return out.getvalue()
+    blocks = []
+    for section, keys in _SECTIONS.items():
+        lines = [f"[{section}]"]
+        for key in keys:
+            cls, name = _field(section, key)
+            value = getattr(scen if cls is ScenarioConfig else val, name)
+            if key in _BOXES:
+                value = value[_BOXES.index(key)]
+            lines.append(f"{key} = {_format(value)}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def default_ini() -> str:

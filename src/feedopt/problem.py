@@ -221,11 +221,9 @@ class TimeVaryingProblem:
 
     # -- serialization -------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return dict(self.iter_dict())
-
     def iter_dict(self):
-        """The items of :meth:`to_dict`, each field made a list only when reached."""
+        """The instance as ``(name, value)`` items, arrays as nested lists, each
+        field made a list only when reached."""
         plant, boxes, costs = self.plant, self.boxes, self.costs
         fields = (
             ("G", plant.G), ("H", plant.H), ("lower", boxes.lower), ("upper", boxes.upper),

@@ -53,10 +53,10 @@ class ScenarioConfig:
     n_loads: int = 2
     # costs
     beta: float = 1.0
-    a_range_one: tuple = (0.1, 0.5)
-    a_range_two: tuple = (0.5, 1.0)
-    b_range: tuple = (-3.0, 3.0)
-    switch_steps: tuple = (2880, 5760)
+    a_range_one: tuple[float, float] = (0.1, 0.5)
+    a_range_two: tuple[float, float] = (0.5, 1.0)
+    b_range: tuple[float, float] = (-3.0, 3.0)
+    switch_steps: tuple[int, ...] = (2880, 5760)
     ref_base: float = 25.0
     ref_amplitude: float = 8.0
     ref_period: int = 960
@@ -66,11 +66,13 @@ class ScenarioConfig:
     trace_decay: float = 0.15
     obs_noise_sigma: float = 0.1
     # constraints: (lower_min, lower_max, upper_min, upper_max) per box family
-    box_ranges: tuple = ((-10.0, -6.0, 6.0, 10.0), (3.0, 7.0, 13.0, 17.0), (0.0, 3.0, 28.0, 32.0))
+    box_ranges: tuple[tuple[float, float, float, float], ...] = (
+        (-10.0, -6.0, 6.0, 10.0), (3.0, 7.0, 13.0, 17.0), (0.0, 3.0, 28.0, 32.0),
+    )
     box_period: int = 2880
     # algorithm
     alpha: float = 0.5
-    p_values: tuple = (0.4, 0.6, 0.8, 1.0)
+    p_values: tuple[float, ...] = (0.4, 0.6, 0.8, 1.0)
     eps_kind: str = "gaussian"
     eps_scale: float = 0.0
     eps_theta: float = 1.0
@@ -90,7 +92,7 @@ class ScenarioConfig:
     # suite
     horizon: int = 8640
     n_experiments: int = 10
-    modes: tuple = ("exact", "gp")
+    modes: tuple[str, ...] = ("exact", "gp")
     seed: int = 7
 
     def __post_init__(self):
@@ -147,13 +149,10 @@ def algo_config(cfg: ScenarioConfig, p: float) -> algorithm.AlgoConfig:
     )
 
 
-def build_scenario(cfg: ScenarioConfig, rng=None) -> problem.TimeVaryingProblem:
-    """Generate the problem instance (plant, traces, boxes, switching costs).
-
-    Deterministic in ``cfg.seed`` unless an explicit generator is passed.
-    """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+def build_scenario(cfg: ScenarioConfig) -> problem.TimeVaryingProblem:
+    """Generate the problem instance (plant, traces, boxes, switching costs),
+    deterministic in ``cfg.seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     m, n_out, n_w = cfg.n_ders, cfg.n_pcc, cfg.n_loads
     G = rng.uniform(0.5, 1.0, (n_out, m))
     G /= np.linalg.svd(G, compute_uv=False)[0]
@@ -310,7 +309,6 @@ class ExperimentResult:
     p_values: tuple
     modes: tuple
     horizon: int
-    n_experiments: int
     mean_d: dict = field(default_factory=dict)
     std_d: dict = field(default_factory=dict)
 
@@ -348,8 +346,7 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
         trajectories.update({(p, mode, e): traj for (p, e), traj in zip(runs, batch)})
 
     result = ExperimentResult(
-        p_values=tuple(cfg.p_values), modes=tuple(cfg.modes),
-        horizon=cfg.horizon, n_experiments=cfg.n_experiments,
+        p_values=tuple(cfg.p_values), modes=tuple(cfg.modes), horizon=cfg.horizon,
     )
     for p in cfg.p_values:
         for mode in cfg.modes:

@@ -60,7 +60,6 @@ class ValidationCheck:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
-    seed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -134,7 +133,7 @@ def validate_expectation_bound(prob, cfg, n_steps, n_trials, seed, n_jobs=1):
         raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=seed)
-    curve = bounds.expectation_bound(inputs, n_steps)
+    curve = bounds.expectation_bound(inputs)
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(n_trials)
     rel = (mean + 3.0 * se) / curve.value
@@ -150,7 +149,7 @@ def validate_expectation_bound(prob, cfg, n_steps, n_trials, seed, n_jobs=1):
         std_error=float(se[worst]),
         ratio=float(np.median(loose)),
     )
-    return ValidationReport([check], seed)
+    return ValidationReport([check])
 
 
 def validate_hp_bound(prob, cfg, n_steps, n_trials, deltas, check_times, seed, n_jobs=1):
@@ -165,10 +164,10 @@ def validate_hp_bound(prob, cfg, n_steps, n_trials, deltas, check_times, seed, n
     if any(t < 1 or t > n_steps for t in check_times):
         raise ValueError(f"check times must lie in [1, {n_steps}], got {check_times}")
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
-    report = ValidationReport([], seed)
+    report = ValidationReport()
     base = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=seed)
     for delta in deltas:
-        curve = bounds.hp_bound_trajectory(replace(base, delta=delta), n_steps)
+        curve = bounds.hp_bound_trajectory(replace(base, delta=delta))
         allowance = float(binom.ppf(0.99, n_trials, delta)) / n_trials
         for t in check_times:
             freq = float(np.mean(d[:, t] > curve.value[t]))
@@ -220,9 +219,11 @@ def _tilted_moment_estimate(zeta, p, t, k, n_samples, rng):
     return m_hat ** (1.0 / k), se
 
 
-def validate_moment_identity(
-    zeta_grid, p_grid, t_grid, k_grid, n_samples=10**5, rel_tol=0.02, seed=0,
-):
+# largest relative deviation of an estimated moment norm from the closed form
+_MOMENT_REL_TOL = 0.02
+
+
+def validate_moment_identity(zeta_grid, p_grid, t_grid, k_grid, n_samples=10**5, seed=0):
     """Empirical ``||zeta^Omega||_k`` vs. the closed form, on a parameter grid."""
     if n_samples < 10**5:
         raise ValueError(f"moment-identity check needs at least 1e5 samples, got {n_samples}")
@@ -230,7 +231,7 @@ def validate_moment_identity(
         if not 0.0 < zeta_val < 1.0:
             raise ValueError(f"contraction factors must lie in (0, 1), got {zeta_val}")
     rng = np.random.default_rng(seed)
-    report = ValidationReport([], seed)
+    report = ValidationReport()
     for zeta_val in zeta_grid:
         for p in p_grid:
             for t in t_grid:
@@ -243,9 +244,9 @@ def validate_moment_identity(
                     report.checks.append(
                         ValidationCheck(
                             name=f"binomial-moment zeta={zeta_val} p={p} t={t} k={k}",
-                            passed=rel <= rel_tol,
+                            passed=rel <= _MOMENT_REL_TOL,
                             statistic=rel,
-                            bound=rel_tol,
+                            bound=_MOMENT_REL_TOL,
                             n_samples=n_samples,
                             std_error=se,
                             ratio=emp / ref,
@@ -257,13 +258,17 @@ def validate_moment_identity(
 # ---------------------------------------------------------------------------
 # certificate checks
 
+# moment orders 1.._K_MAX and tail levels every certificate check covers
+_K_MAX = 8
+_TAIL_DELTAS = (0.5, 0.1, 0.01)
 
-def _moment_checks(name, samples, cert, k_max, report):
+
+def _moment_checks(name, samples, cert, report):
     # raw-moment comparison with a 3-standard-error Monte Carlo allowance:
     # (mean |x|^k - 3 se) must not exceed (nu k^theta)^k
     absx = np.abs(samples)
     n = samples.shape[0]
-    for k in range(1, k_max + 1):
+    for k in range(1, _K_MAX + 1):
         powers = absx ** float(k)
         m_hat = float(powers.mean())
         se = float(powers.std(ddof=1)) / math.sqrt(n)
@@ -282,10 +287,10 @@ def _moment_checks(name, samples, cert, k_max, report):
         )
 
 
-def _tail_checks(name, samples, cert, deltas, report):
+def _tail_checks(name, samples, cert, report):
     n = samples.shape[0]
     absx = np.abs(samples)
-    for delta in deltas:
+    for delta in _TAIL_DELTAS:
         level = cert.hp_bound(delta)
         freq = float(np.mean(absx >= level))
         allowance = float(binom.ppf(0.99, n, delta)) / n
@@ -302,49 +307,38 @@ def _tail_checks(name, samples, cert, deltas, report):
         )
 
 
-def default_samplers() -> dict:
-    return {
+def validate_sampler_declarations(n_samples=10**6, seed=0):
+    """Each sampler's empirical moments and tails vs. its declared certificate."""
+    if n_samples < 10**5:
+        raise ValueError(f"sampler check needs at least 1e5 samples, got {n_samples}")
+    samplers = {
         "gaussian(1)": subweibull.gaussian(1.0),
         "bounded-uniform(2)": subweibull.bounded_uniform(2.0),
         "weibull-tail(theta=1)": subweibull.weibull_tail(1.0, 1.0),
         "weibull-tail(theta=1.5)": subweibull.weibull_tail(1.5, 0.5),
     }
-
-
-def validate_sampler_declarations(
-    samplers=None, n_samples=10**6, k_max=8, deltas=(0.5, 0.1, 0.01), seed=0,
-):
-    """Each sampler's empirical moments and tails vs. its declared certificate."""
-    if samplers is None:
-        samplers = default_samplers()
-    if n_samples < 10**5:
-        raise ValueError(f"sampler check needs at least 1e5 samples, got {n_samples}")
     rng = np.random.default_rng(seed)
-    report = ValidationReport([], seed)
+    report = ValidationReport()
     for name, sampler in samplers.items():
         draws = sampler.sample(rng, n_samples)
-        _moment_checks(name, draws, sampler.declared, k_max, report)
-        _tail_checks(name, draws, sampler.declared, deltas, report)
+        _moment_checks(name, draws, sampler.declared, report)
+        _tail_checks(name, draws, sampler.declared, report)
     return report
 
 
-def validate_closure_ops(
-    eps_sampler=None, xi_sampler=None, dim=4, n_samples=10**6, k_max=8,
-    deltas=(0.5, 0.1, 0.01), seed=0,
-):
+def validate_closure_ops(dim=4, n_samples=10**6, seed=0):
     """Certificate algebra vs. moments of actually composed samples.
 
     Scale, shift, dependent addition, independent multiplication, and the
-    error-norm composition over ``dim`` coordinates are all exercised.
+    error-norm composition over ``dim`` coordinates are all exercised, on a
+    unit gaussian ``x`` and a Weibull-tailed ``y`` (theta 1, scale 0.5).
     """
-    if eps_sampler is None:
-        eps_sampler = subweibull.gaussian(1.0)
-    if xi_sampler is None:
-        xi_sampler = subweibull.weibull_tail(1.0, 0.5)
     if n_samples < 10**5:
         raise ValueError(f"closure check needs at least 1e5 samples, got {n_samples}")
+    eps_sampler = subweibull.gaussian(1.0)
+    xi_sampler = subweibull.weibull_tail(1.0, 0.5)
     rng = np.random.default_rng(seed)
-    report = ValidationReport([], seed)
+    report = ValidationReport()
     x = eps_sampler.sample(rng, n_samples)
     y = xi_sampler.sample(rng, n_samples)
     ce, cx = eps_sampler.declared, xi_sampler.declared
@@ -355,14 +349,14 @@ def validate_closure_ops(
         ("mul(x*y)", x * y, ce.mul(cx, independent=True)),
     ]
     for name, samples, cert in compositions:
-        _moment_checks(name, samples, cert, k_max, report)
-        _tail_checks(name, samples, cert, deltas, report)
+        _moment_checks(name, samples, cert, report)
+        _tail_checks(name, samples, cert, report)
     ev = eps_sampler.sample(rng, n_samples * dim).reshape(n_samples, dim)
     xv = xi_sampler.sample(rng, n_samples * dim).reshape(n_samples, dim)
     norms = np.linalg.norm(ev + xv, axis=1)
     cert = subweibull.vector_norm_class(dim, ce, cx)
-    _moment_checks(f"error-norm(dim={dim})", norms, cert, k_max, report)
-    _tail_checks(f"error-norm(dim={dim})", norms, cert, deltas, report)
+    _moment_checks(f"error-norm(dim={dim})", norms, cert, report)
+    _tail_checks(f"error-norm(dim={dim})", norms, cert, report)
     return report
 
 
@@ -371,8 +365,7 @@ def validate_closure_ops(
 
 
 def synthetic_instance(
-    n_inputs=6, n_outputs=2, n_steps=500, drift_amplitude=0.6, error_scale=0.1,
-    p=0.7, seed=11,
+    n_inputs=6, n_steps=500, drift_amplitude=0.6, error_scale=0.1, p=0.7, seed=11,
 ):
     """Compact drifting quadratic instance with known curvature.
 
@@ -381,6 +374,7 @@ def synthetic_instance(
     gaussian gradient errors on both channels.  The step size is set to
     ``1/L``.  Returns ``(problem, algo_config)``.
     """
+    n_outputs = 2
     rng = np.random.default_rng(seed)
     G = rng.uniform(0.5, 1.0, (n_outputs, n_inputs))
     G /= np.linalg.svd(G, compute_uv=False)[0]

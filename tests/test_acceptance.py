@@ -58,7 +58,7 @@ def test_criterion_1_expectation_envelope_dominates(synthetic_ensemble):
     prob, cfg, d_all, elapsed = synthetic_ensemble
     d = d_all[:1000]
     inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=500, seed=SEED)
-    curve = bounds.expectation_bound(inputs, 500)
+    curve = bounds.expectation_bound(inputs)
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(d.shape[0])
     stat = mean + 3.0 * se
@@ -86,7 +86,7 @@ def test_criterion_2_hp_envelope_exceedance(synthetic_ensemble):
         inputs = bounds.bound_inputs_from_problem(
             prob, cfg, n_steps=500, delta=delta, seed=SEED
         )
-        curve = bounds.hp_bound_trajectory(inputs, 500)
+        curve = bounds.hp_bound_trajectory(inputs)
         for t in (50, 250, 500):
             freq = float(np.mean(d[:, t] > curve.value[t]))
             worst = max(worst, freq / delta)

@@ -179,6 +179,8 @@ def test_bound_inputs_validation():
     ok = make_inputs()
     assert ok.horizon == 12
     np.testing.assert_allclose(ok.rho, 1 - ok.p + ok.p * ok.zeta_t)
+    with pytest.raises(ValueError, match="at least one step"):
+        BoundInputs(0.4, 0.7, ok.zeta_t[:1], ok.phi[:0], ok.e_mean[:1], ok.nu_e[:1], 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="one entry fewer"):
         BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi[:-1], ok.e_mean, ok.nu_e, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="align"):
@@ -224,17 +226,6 @@ def test_expectation_bound_matches_literal_sums():
     assert curve.meta["kind"] == "expectation"
 
 
-def test_expectation_bound_horizon_argument():
-    inputs = make_inputs()
-    short = bounds.expectation_bound(inputs, 5)
-    full = bounds.expectation_bound(inputs)
-    np.testing.assert_allclose(short.value, full.value[:6], rtol=1e-12)
-    with pytest.raises(ValueError, match="horizon"):
-        bounds.expectation_bound(inputs, 0)
-    with pytest.raises(ValueError, match="horizon"):
-        bounds.expectation_bound(inputs, 13)
-
-
 def test_asymptotic_envelope_dominates_the_exact_one():
     inputs = make_inputs()
     exact = bounds.expectation_bound(inputs)
@@ -252,7 +243,7 @@ def test_expectation_bound_dominates_a_simulated_static_mean():
 
     prob, cfg = static_instance()
     inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=80, seed=1)
-    curve = bounds.expectation_bound(inputs, 80)
+    curve = bounds.expectation_bound(inputs)
     d = np.stack(
         [
             algorithm.run(
@@ -468,7 +459,7 @@ def test_csv_writers_match_a_csv_writer_reference(tmp_path):
 
 
 def test_bound_curve_csv(tmp_path):
-    curve = bounds.expectation_bound(make_inputs(), 4)
+    curve = bounds.expectation_bound(make_inputs(T=4))
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     lines = path.read_text().splitlines()

@@ -113,7 +113,7 @@ def test_instance_dump_round_trip(tmp_path):
     prob = scenario.build_scenario(scen)
     np.testing.assert_array_equal(clone.optimal_points(), prob.optimal_points())
     # the bytes are those of one json.dumps of the whole payload
-    expected = json.dumps({"seed": scen.seed, "horizon": scen.horizon, "problem": prob.to_dict()})
+    expected = json.dumps({"seed": scen.seed, "horizon": scen.horizon, "problem": dict(prob.iter_dict())})
     assert (out / "scenario_instance.json").read_bytes() == (expected + "\n").encode()
 
 

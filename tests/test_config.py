@@ -1,5 +1,7 @@
 """INI parsing: strict keys, round trips, seed overrides."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from feedopt import config
@@ -30,6 +32,48 @@ def test_dump_config_formats(tmp_path):
     path = write(tmp_path, text)
     scen, val = config.load_config(path)
     assert config.dump_config(scen, val) == text
+
+
+# a value other than the default for every field, each accepted on its own
+NON_DEFAULT = {
+    ScenarioConfig: {
+        "n_ders": 4, "n_pcc": 3, "n_loads": 1,
+        "beta": 2.5, "a_range_one": (0.2, 0.4), "a_range_two": (0.6, 0.9),
+        "b_range": (-1.0, 2.0), "switch_steps": (100, 200, 300),
+        "ref_base": 30.0, "ref_amplitude": 5.5, "ref_period": 480,
+        "dist_base": 10.0, "dist_amplitude": 2.0, "dist_period": 1000,
+        "trace_decay": 0.25, "obs_noise_sigma": 0.05,
+        "box_ranges": ((-1.0, 0.0, 1.0, 2.0), (2.0, 3.0, 4.0, 5.0), (-5.0, -4.0, 4.0, 5.0)),
+        "box_period": 100,
+        "alpha": 0.125, "p_values": (0.3, 0.9),
+        "eps_kind": "bounded-uniform", "eps_scale": 0.2, "eps_theta": 1.5,
+        "xi_kind": "gaussian", "xi_scale": 0.3, "xi_theta": 0.5,
+        "meas_kind": "weibull-tail", "meas_scale": 0.4, "meas_theta": 2.5,
+        "gp_sigma_f2": 3.0, "gp_ell": 0.75, "gp_noise_var": 0.02,
+        "gp_seed_obs": 9, "eval_period": 60, "gp_max_obs": 40,
+        "horizon": 9000, "n_experiments": 3, "modes": ("gp",), "seed": 1234,
+    },
+    ValidationSettings: {
+        "instance": "scenario", "n_inputs": 3, "n_steps": 80, "p": 0.4,
+        "alpha": 0.05, "error_scale": 0.2, "drift": 0.1,
+        "n_trials_mean": 100, "n_trials_hp": 1500,
+        "deltas": (0.2,), "check_times": (10, 20), "moment_zetas": (0.7,),
+        "moment_ps": (0.5, 0.6), "moment_ts": (3,), "moment_ks": (2, 3),
+        "moment_samples": 200000, "sampler_samples": 300000, "closure_dim": 2, "seed": 5,
+    },
+}
+
+
+def test_every_field_round_trips_alone(tmp_path):
+    # a field the INI tables miss would come back as its default
+    for cls, values in NON_DEFAULT.items():
+        assert set(values) == {f.name for f in fields(cls)}
+        for name, value in values.items():
+            assert getattr(cls(), name) != value
+            configs = {ScenarioConfig: ScenarioConfig(), ValidationSettings: ValidationSettings()}
+            configs[cls] = replace(configs[cls], **{name: value})
+            path = write(tmp_path, config.dump_config(*configs.values()))
+            assert config.load_config(path) == tuple(configs.values()), name
 
 
 def test_partial_file_overrides_only_named_keys(tmp_path):
@@ -99,6 +143,10 @@ def test_malformed_values(tmp_path):
         config.load_config(write(tmp_path, "[costs]\nbeta = strong\n"))
     with pytest.raises(ConfigError, match="expected an integer"):
         config.load_config(write(tmp_path, "[suite]\nhorizon = 1.5\n"))
+    with pytest.raises(ConfigError, match="expected an integer"):
+        config.load_config(write(tmp_path, "[validation]\ncheck_times = 1, 2.5\n"))
+    with pytest.raises(ConfigError, match="expected an integer"):
+        config.load_config(write(tmp_path, "[gp]\nmax_obs = 1.5\n"))
     with pytest.raises(ConfigError, match="four comma-separated"):
         config.load_config(write(tmp_path, "[constraints]\nbox_one = 1, 2\n"))
     with pytest.raises(ConfigError, match="two comma-separated"):

@@ -227,9 +227,7 @@ def test_plateau_and_csv(tmp_path):
 
 def test_summary_csv_matches_a_csv_writer_reference(tmp_path):
     vals = np.array([0.0, -0.0, 1e-300, 1e-5, 1.5e16, np.inf, np.nan, 1.0 / 3.0, -2.5e-7])
-    res = scenario.ExperimentResult(
-        p_values=(0.4, 1.0), modes=("exact", "gp"), horizon=vals.size, n_experiments=2
-    )
+    res = scenario.ExperimentResult(p_values=(0.4, 1.0), modes=("exact", "gp"), horizon=vals.size)
     for i, key in enumerate((p, m) for p in res.p_values for m in res.modes):
         res.mean_d[key] = np.roll(vals, i)
         res.std_d[key] = np.roll(vals[::-1], i)

@@ -105,7 +105,6 @@ def test_report_summary_and_csv(tmp_path):
             ValidationCheck("alpha", True, 0.5, 1.0, 100, 0.01, 2.0),
             ValidationCheck("beta", False, 2.0, 1.0, 100, 0.01, 0.5),
         ],
-        seed=1,
     )
     assert not report.passed
     text = report.summary()
@@ -120,8 +119,8 @@ def test_report_summary_and_csv(tmp_path):
 
 
 def test_report_extend_merges_checks():
-    a = ValidationReport([ValidationCheck("x", True, 0, 1, 10, 0, 1)], seed=0)
-    b = ValidationReport([ValidationCheck("y", True, 0, 1, 10, 0, 1)], seed=0)
+    a = ValidationReport([ValidationCheck("x", True, 0, 1, 10, 0, 1)])
+    b = ValidationReport([ValidationCheck("y", True, 0, 1, 10, 0, 1)])
     merged = a.extend(b)
     assert merged is a
     assert [c.name for c in a.checks] == ["x", "y"]

@@ -40,7 +40,7 @@ def static_instance(n_t=101, silent=False, p=0.7, seed=0):
 
 
 def from_dict(payload):
-    """A problem rebuilt from ``TimeVaryingProblem.to_dict`` output."""
+    """A problem rebuilt from the items of ``TimeVaryingProblem.iter_dict``."""
     arr = {k: np.array(v) for k, v in payload.items() if k != "beta"}
     return problem.TimeVaryingProblem(
         problem.LinearPlantMap(arr["G"], arr["H"]),

@@ -14,7 +14,9 @@ re-projected onto the current feasible box:
 ``xi_t`` is error in the tracking part, ``n_t`` is measurement noise.
 
 One kernel, :func:`simulate`, advances a batch of independent runs as an
-``(R, m)`` array, one step at a time; :func:`run` is its batch of one.
+``(R, m)`` array, one step at a time; :func:`run` is its batch of one.  A
+batch may mix runs whose model term is ``grad U_t + eps_t`` with learned
+runs, whose model term a hook supplies.
 
 Randomness protocol: every generator is consumed exactly as a lone run
 would consume it.  At each step, generator by generator in first-seen
@@ -97,6 +99,9 @@ class Trajectory:
             fh.writelines(row.format(*r) for r in rows)
 
 
+_D_BLOCK_SIZE = 2**15  # numbers per block of the distance pass (256 KB)
+
+
 def _rowsum(P):
     """Sum over the last axis in a fixed order, so no row depends on the batch."""
     total = P[..., 0] if P.shape[-1] else np.zeros(P.shape[:-1])
@@ -116,7 +121,7 @@ def check_step_size(prob, alpha: float, n_steps: int) -> None:
         )
 
 
-def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_step=None):
+def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned=None, after_step=None):
     """Advance ``R = len(rngs)`` independent runs together for ``n_steps`` steps.
 
     ``x0`` holds ``(R, m)`` starting points, one ``(m,)`` point for every
@@ -125,12 +130,15 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
     them.  ``n_steps`` defaults to the full schedule and ``p`` (a scalar or
     one value per run) to ``cfg.p``.
 
-    ``input_grad(X, t) -> (R, m)`` optionally replaces the model term
-    ``grad U_t(x) + eps_t`` at the iterates ``X = x_{t-1}`` (learned costs);
-    eps is still drawn, so the sample path is unchanged, and the recorded
-    error norm uses the hook's deviation from the true input-cost gradient.
-    ``after_step(t, X_t)`` is optionally invoked after every update with
-    the ``(R, m)`` iterates (measurement scheduling hooks live here).
+    ``input_grad(X, t)`` optionally replaces the model term
+    ``grad U_t(x) + eps_t`` of the learned runs: ``learned`` is a boolean
+    mask over the runs (default: every run), the hook receives their
+    iterates ``X = x_{t-1}`` only and returns one ``(m,)`` row per learned
+    run.  eps is still drawn, so the sample path is unchanged, and a learned
+    run's recorded error norm uses the hook's deviation from the true
+    input-cost gradient.  ``after_step(t, X_t)`` is optionally invoked after
+    every update with the ``(R, m)`` iterates of all runs (measurement
+    scheduling hooks live here).
 
     Returns one :class:`Trajectory` per run, in the order of ``rngs``.
     """
@@ -152,16 +160,22 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
     p = np.broadcast_to(np.asarray(cfg.p if p is None else p, dtype=float), (n_runs,))
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise ValueError(f"availability probability must lie in (0, 1], got {p}")
+    learned = input_grad is not None if learned is None else learned
+    rows = np.flatnonzero(np.broadcast_to(learned, (n_runs,)))
+    if rows.size and input_grad is None:
+        raise ValueError("learned runs need an input_grad hook")
+    if not rows.size:
+        input_grad = None  # no learned run, so the hook is never called
+    elif rows[-1] - rows[0] + 1 == rows.size:
+        rows = slice(rows[0], rows[-1] + 1)  # one block of runs: views, not copies
 
     G, beta, y_ref = prob.plant.G, prob.costs.beta, prob.costs.y_ref
     hw = prob.costs.w @ prob.plant.H.T  # disturbance part of the output, per step
-    optima = prob.optimal_points()
+    optima = prob.optimal_points()[: n_steps + 1]
     x = np.empty((n_runs, n_steps + 1, m))
     v = np.zeros((n_runs, n_steps + 1), dtype=np.int8)
-    d = np.empty((n_runs, n_steps + 1))
     e_norm = np.zeros((n_runs, n_steps + 1))
     x[:, 0] = x0
-    d[:, 0] = np.sqrt(_rowsum((x0 - optima[0]) ** 2))
     # one row of draws per distinct generator; run r reads row owner[r]
     streams = list({id(rng): rng for rng in rngs}.values())
     row_of = {id(rng): k for k, rng in enumerate(streams)}
@@ -179,21 +193,26 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, after_s
             noise[k] = cfg.meas_noise.sample(rng, n_out)
         xi_r = xi[owner]
         avail = u[owner] < p
-        if input_grad is None:
-            eps_r = eps[owner]
-            model_term = prob.u_gradient(x_prev, t) + eps_r
-            err = eps_r + xi_r
-        else:
-            model_term = np.asarray(input_grad(x_prev, t), dtype=float)
-            err = (model_term - prob.u_gradient(x_prev, t)) + xi_r
+        eps_r = eps[owner]
+        u_grad = prob.u_gradient(x_prev, t)
+        model_term = u_grad + eps_r
+        err = eps_r + xi_r
+        if input_grad is not None:
+            model_term[rows] = input_grad(x_prev[rows], t)
+            err[rows] = (model_term[rows] - u_grad[rows]) + xi_r[rows]
         e_norm[:, t] = np.sqrt(_rowsum(err**2))
         y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise[owner]
         grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi_r
         v[:, t] = avail
         x[:, t] = prob.project(np.where(avail[:, None], x_prev - cfg.alpha * grad, x_prev), t)
-        d[:, t] = np.sqrt(_rowsum((x[:, t] - optima[t]) ** 2))
         if after_step is not None:
             after_step(t, x[:, t])
+    # distances after the loop, in blocks of steps that bound the temporaries
+    d = np.empty((n_runs, n_steps + 1))
+    width = max(1, _D_BLOCK_SIZE // max(1, n_runs * m))
+    for lo in range(0, n_steps + 1, width):
+        block = slice(lo, lo + width)
+        d[:, block] = np.sqrt(_rowsum((x[:, block] - optima[block]) ** 2))
     return [Trajectory(x[r], v[r], d[r], e_norm[r]) for r in range(n_runs)]
 
 

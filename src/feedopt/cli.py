@@ -188,13 +188,15 @@ def _cmd_validate_bounds(args) -> int:
     _echo_config(args.out, scen, val)
     prob, acfg, n_steps = _validation_setup(scen, val)
     jobs = max(1, args.jobs)
+    # one Monte Carlo E||e|| estimate: the HP envelope reads only nu_e
+    inputs = bounds.bound_inputs_from_problem(prob, acfg, n_steps, seed=val.seed)
 
     report = validation.validate_expectation_bound(
-        prob, acfg, n_steps, val.n_trials_mean, seed=val.seed, n_jobs=jobs
+        prob, acfg, inputs, val.n_trials_mean, seed=val.seed, n_jobs=jobs
     )
     report.extend(
         validation.validate_hp_bound(
-            prob, acfg, n_steps, val.n_trials_hp, val.deltas, val.check_times,
+            prob, acfg, inputs, val.n_trials_hp, val.deltas, val.check_times,
             seed=val.seed + 1, n_jobs=jobs,
         )
     )

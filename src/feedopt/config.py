@@ -4,12 +4,13 @@ A config file carries the sections ``[plant]``, ``[costs]``,
 ``[constraints]``, ``[algorithm]``, ``[gp]``, ``[suite]`` and (optionally)
 ``[validation]``.  Every key is optional and falls back to the defaults of
 :class:`feedopt.scenario.ScenarioConfig` / :class:`ValidationSettings`;
-unknown sections or keys are rejected so typos cannot silently change a
-study.  Each value is parsed by the type its dataclass field declares:
-``int``, ``float`` and ``str`` as written, ``X | None`` from ``auto`` or
-``none`` (any case) or else as ``X``, and tuples as comma-separated lists,
-whose length is checked when the type fixes it.  A new setting is one
-dataclass field plus its key in :data:`_SECTIONS`.
+unknown sections (``[DEFAULT]`` included) or keys are rejected so typos
+cannot silently change a study.  Each value is parsed by the type its
+dataclass field declares: ``int``, ``float`` and ``str`` as written,
+``X | None`` from ``auto`` or ``none`` (any case) or else as ``X``, and
+tuples as comma-separated lists, whose length is checked when the type
+fixes it.  A new setting is one dataclass field plus its key in
+:data:`_SECTIONS`.
 """
 
 from __future__ import annotations
@@ -125,7 +126,10 @@ def load_config(path) -> tuple[ScenarioConfig, ValidationSettings]:
     Raises :class:`ConfigError` on unknown sections/keys, malformed values,
     or values the dataclasses reject.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no default section: configparser would merge a [DEFAULT] section's keys
+    # into every other section, so "" (never a section header) takes its
+    # place and [DEFAULT] meets the unknown-section check like any other name
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

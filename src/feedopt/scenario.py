@@ -15,9 +15,10 @@ profile never contaminates the posterior used while the other one is
 active.
 
 Everything is generated from one seed: the instance, the starting points,
-the measurement pattern and the noise.  Runs with the same seed and
-different ``p`` share a sample path, so the suite's cross-``p``
-comparisons are paired.
+the measurement pattern and the noise.  The runs of one experiment share a
+sample path whatever their ``p`` and mode, so the suite's cross-``p`` and
+exact-versus-learned comparisons are paired, and the suite advances all
+its runs, both modes together, as one batch of the simulation kernel.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class ScenarioConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.n_experiments < 1:
             raise ValueError(f"need at least one experiment, got {self.n_experiments}")
+        if not self.p_values:
+            raise ValueError("need at least one availability probability in p_values")
+        if not self.modes:
+            raise ValueError("need at least one mode in modes")
         if not all(0.0 < p <= 1.0 for p in self.p_values):
             raise ValueError(f"availability probabilities must lie in (0, 1], got {self.p_values}")
         if any(m not in ("exact", "gp") for m in self.modes):
@@ -246,42 +251,47 @@ def active_profile(switch_steps, t: int) -> int:
     return int(np.searchsorted(np.asarray(switch_steps), t, side="right") % 2)
 
 
-def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
-    """The runs ``(p, exp_index)`` of one mode, advanced together as one batch.
+def run_experiments(prob, cfg: ScenarioConfig, runs):
+    """The runs ``(mode, p, exp_index)``, exact and learned alike, advanced
+    together as one batch.
 
     The experiment index seeds two child streams: the main one drives the
     starting point, the measurement pattern and the noise; a separate one
     drives the cost evaluations for the learner, so ``exact`` and ``gp``
     runs of the same experiment, at any ``p``, see identical sample paths.
-    The runs of one experiment share one main generator, so the kernel
-    draws its path once per step for all of them; each run keeps its own
-    evaluation generator, which the learner draws from run by run.
+    The runs of one experiment, in both modes, share one main generator, so
+    the kernel draws its path once per step for all of them; each ``gp``
+    run has its own evaluation generator, which the learner draws from run
+    by run, and ``exact`` runs have none.
 
-    In ``gp`` mode every run has its own GPs, one per coordinate, held in
-    one learner of batch ``(R, m)``.  The owners signal profile changes, so
-    there are two learners, one per profile, each starting from the initial
-    profiling samples.  Evaluations recorded under one profile never enter
-    the posterior used while the other is active; when a profile returns,
-    its accumulated dataset is restored.  ``input_grad(X, t)`` is the active
-    learner's posterior mean-gradient at the iterates, and ``after_step(t,
-    X)`` records every ``eval_period`` steps one noisy evaluation per run
-    and coordinate at the new iterates.  Returns one trajectory per run.
+    Every ``gp`` run has its own GPs, one per coordinate, held in one
+    learner of batch ``(R_gp, m)`` over the ``gp`` runs.  The owners signal
+    profile changes, so there are two learners, one per profile, each
+    starting from the initial profiling samples.  Evaluations recorded under
+    one profile never enter the posterior used while the other is active;
+    when a profile returns, its accumulated dataset is restored.
+    ``input_grad(X, t)`` is the active learner's posterior mean-gradient at
+    the ``gp`` runs' iterates, and ``after_step(t, X)`` records every
+    ``eval_period`` steps one noisy evaluation per ``gp`` run and coordinate
+    at its new iterate.  Returns one trajectory per run.
     """
-    if mode not in ("exact", "gp"):
-        raise ValueError(f"mode must be 'exact' or 'gp', got {mode!r}")
+    bad = [mode for mode, _, _ in runs if mode not in ("exact", "gp")]
+    if bad:
+        raise ValueError(f"mode must be 'exact' or 'gp', got {bad[0]!r}")
 
     def stream(e, k):
         return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, e, k)))
 
     # one main generator and starting point per experiment, shared by its runs
-    main = {e: stream(e, 0) for _, e in runs}
+    main = {e: stream(e, 0) for _, _, e in runs}
     start = {e: rng.uniform(prob.boxes.lower[0], prob.boxes.upper[0]) for e, rng in main.items()}
-    rng_main, x0 = [main[e] for _, e in runs], [start[e] for _, e in runs]
-    rng_obs = [stream(e, 1) for _, e in runs]
-    ps = [p for p, _ in runs]
+    rng_main, x0 = [main[e] for _, _, e in runs], [start[e] for _, _, e in runs]
+    ps = [p for _, p, _ in runs]
     acfg = algo_config(cfg, ps[0])  # the kernel takes each run's own p from ``ps``
+    gp = np.array([mode == "gp" for mode, _, _ in runs])
     hooks = {}
-    if mode == "gp":
+    if gp.any():
+        rng_obs = [stream(e, 1) for mode, _, e in runs if mode == "gp"]
         learners = [seed_cost_learners(prob, cfg, rng_obs)] * 2
 
         def input_grad(X, t):
@@ -291,11 +301,12 @@ def run_experiments(prob, cfg: ScenarioConfig, mode: str, runs):
             if t % cfg.eval_period:
                 return
             k = active_profile(cfg.switch_steps, t)
+            X = X[gp]
             noise = np.array([rng.standard_normal(prob.n_inputs) for rng in rng_obs])
             z = coordinate_cost(prob, slice(None), X, t) + cfg.obs_noise_sigma * noise
             learners[k] = learners[k].add_observation(X, z, max_obs=cfg.gp_max_obs)
 
-        hooks = {"input_grad": input_grad, "after_step": observe}
+        hooks = {"input_grad": input_grad, "learned": gp, "after_step": observe}
     return algorithm.simulate(prob, acfg, x0, rng_main, n_steps=cfg.horizon, p=ps, **hooks)
 
 
@@ -330,7 +341,8 @@ class ExperimentResult:
 
 
 def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=None) -> ExperimentResult:
-    """All ``(p, mode, experiment)`` runs of the study, one batch per mode.
+    """All ``(mode, p, experiment)`` runs of the study, exact and learned
+    alike, in one batch (one per worker process when ``n_jobs > 1``).
 
     ``trajectory_sink(p, mode, exp_index, trajectory)`` is invoked for every
     finished run in a fixed order, so file outputs are deterministic for
@@ -339,11 +351,10 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
     if prob is None:
         prob = build_scenario(cfg)
     prob.optimal_points()  # fill the oracle cache before any pickling
-    runs = [(p, e) for p in cfg.p_values for e in range(cfg.n_experiments)]
-    trajectories = {}
-    for mode in cfg.modes:
-        batch = algorithm.fan_out(partial(run_experiments, prob, cfg, mode), runs, n_jobs)
-        trajectories.update({(p, mode, e): traj for (p, e), traj in zip(runs, batch)})
+    # mode-major, so each chunk's gp runs form one block of rows
+    runs = [(mode, p, e) for mode in cfg.modes for p in cfg.p_values for e in range(cfg.n_experiments)]
+    batch = algorithm.fan_out(partial(run_experiments, prob, cfg), runs, n_jobs)
+    trajectories = dict(zip(runs, batch))
 
     result = ExperimentResult(
         p_values=tuple(cfg.p_values), modes=tuple(cfg.modes), horizon=cfg.horizon,
@@ -351,7 +362,7 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
     for p in cfg.p_values:
         for mode in cfg.modes:
             rows = np.stack(
-                [trajectories[(p, mode, e)].d[1:] for e in range(cfg.n_experiments)]
+                [trajectories[(mode, p, e)].d[1:] for e in range(cfg.n_experiments)]
             )
             result.mean_d[(p, mode)] = rows.mean(axis=0)
             ddof = 1 if cfg.n_experiments > 1 else 0
@@ -360,7 +371,7 @@ def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=N
         for p in cfg.p_values:
             for mode in cfg.modes:
                 for e in range(cfg.n_experiments):
-                    trajectory_sink(p, mode, e, trajectories[(p, mode, e)])
+                    trajectory_sink(p, mode, e, trajectories[(mode, p, e)])
     return result
 
 

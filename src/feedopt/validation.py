@@ -127,12 +127,14 @@ def run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=1) -> np.ndarray:
 # envelope checks
 
 
-def validate_expectation_bound(prob, cfg, n_steps, n_trials, seed, n_jobs=1):
-    """Ensemble mean (plus three standard errors) vs. the expectation envelope."""
+def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
+    """Ensemble mean (plus three standard errors) vs. the expectation envelope
+    of ``inputs`` (:class:`bounds.BoundInputs` for ``cfg`` on ``prob``), over
+    its horizon."""
     if n_trials < 100:
         raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
+    n_steps = inputs.horizon
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
-    inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=seed)
     curve = bounds.expectation_bound(inputs)
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(n_trials)
@@ -152,22 +154,24 @@ def validate_expectation_bound(prob, cfg, n_steps, n_trials, seed, n_jobs=1):
     return ValidationReport([check])
 
 
-def validate_hp_bound(prob, cfg, n_steps, n_trials, deltas, check_times, seed, n_jobs=1):
+def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_jobs=1):
     """Exceedance frequency of the high-probability envelope at chosen steps.
 
-    For each level ``delta`` the frequency of ``d_t > bound_t`` may not
-    exceed the 99% binomial quantile of ``Binomial(n_trials, delta)``.
+    ``inputs`` are the :class:`bounds.BoundInputs` for ``cfg`` on ``prob``;
+    the envelope reads their certificate scale ``nu_e``, never the estimate
+    ``e_mean``.  For each level ``delta`` the frequency of ``d_t > bound_t``
+    may not exceed the 99% binomial quantile of ``Binomial(n_trials, delta)``.
     """
     if n_trials < 1000:
         raise ValueError(f"high-probability check needs at least 1000 trials, got {n_trials}")
+    n_steps = inputs.horizon
     check_times = [int(t) for t in check_times]
     if any(t < 1 or t > n_steps for t in check_times):
         raise ValueError(f"check times must lie in [1, {n_steps}], got {check_times}")
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     report = ValidationReport()
-    base = bounds.bound_inputs_from_problem(prob, cfg, n_steps, seed=seed)
     for delta in deltas:
-        curve = bounds.hp_bound_trajectory(replace(base, delta=delta))
+        curve = bounds.hp_bound_trajectory(replace(inputs, delta=delta))
         allowance = float(binom.ppf(0.99, n_trials, delta)) / n_trials
         for t in check_times:
             freq = float(np.mean(d[:, t] > curve.value[t]))

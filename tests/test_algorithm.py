@@ -220,20 +220,24 @@ def literal_run(prob, cfg, x0, rng, n_steps, input_grad=None):
     return np.array(xs), np.array(vs), np.array(ds), np.array(es)
 
 
-@pytest.mark.parametrize("learned", [False, True])
+@pytest.mark.parametrize("learned", [False, True, "mixed"])
 def test_kernel_matches_a_literal_per_step_loop(learned):
     prob = drifting_problem()
     cfg = noisy_config()
     # a deliberately biased model term, so the input_grad path carries its own error
     hook = (lambda x, t: 1.1 * prob.u_gradient(x, t) + 0.05) if learned else None
+    # "mixed": the hook serves the first and last runs only
+    mask = (True, False, True) if learned == "mixed" else None
     x0 = np.array([[0.0, 0.0, 0.0], [0.4, 0.2, -1.0], [-0.5, -0.3, 0.3]])
     seeds = (3, 4, 5)
     trajs = algorithm.simulate(
-        prob, cfg, x0, [np.random.default_rng(s) for s in seeds], n_steps=50, input_grad=hook,
+        prob, cfg, x0, [np.random.default_rng(s) for s in seeds], n_steps=50,
+        input_grad=hook, learned=mask,
     )
-    for traj, start, seed in zip(trajs, x0, seeds):
+    for r, (traj, start, seed) in enumerate(zip(trajs, x0, seeds)):
         x, v, d, e = literal_run(
-            prob, cfg, start, np.random.default_rng(seed), 50, input_grad=hook
+            prob, cfg, start, np.random.default_rng(seed), 50,
+            input_grad=hook if mask is None or mask[r] else None,
         )
         assert 0 < v.sum() < 50
         np.testing.assert_array_equal(traj.v, v)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -71,20 +72,35 @@ def test_console_entry_point():
     assert proc.stdout == config.default_ini()
 
 
-def test_run_scenario_outputs_and_determinism(tmp_path, capsys):
+_RUN_EXPERIMENTS = scenario.run_experiments
+
+
+def _recording_run_experiments(log_dir, prob, cfg, runs):
+    """``run_experiments`` that first leaves its chunk of runs in ``log_dir``."""
+    (log_dir / ("_".join(map(str, runs[0])) + ".json")).write_text(json.dumps(runs))
+    return _RUN_EXPERIMENTS(prob, cfg, runs)
+
+
+def test_run_scenario_outputs_and_determinism(tmp_path, capsys, monkeypatch):
     cfg = ini(tmp_path, TINY_SCENARIO)
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert cli.main(["run-scenario", "--config", cfg, "--out", str(out1)]) == 0
-    for out, jobs in ((out2, "2"), (out3, "3")):
-        assert cli.main(
-            ["run-scenario", "--config", cfg, "--out", str(out), "--jobs", jobs]
-        ) == 0
+    assert cli.main(["run-scenario", "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
+    log_dir = tmp_path / "chunks"
+    log_dir.mkdir()
+    monkeypatch.setattr(scenario, "run_experiments", partial(_recording_run_experiments, log_dir))
+    assert cli.main(["run-scenario", "--config", cfg, "--out", str(out3), "--jobs", "3"]) == 0
+    chunks = [[tuple(run) for run in json.loads(f.read_text())] for f in log_dir.iterdir()]
+    assert len(chunks) == 3 and sum(len(c) for c in chunks) == 8
+    # a chunk boundary falls between the exact and the gp runs of an
+    # experiment, and one chunk mixes both modes
+    chunk_of = {run: i for i, chunk in enumerate(chunks) for run in chunk}
+    assert chunk_of[("exact", 0.5, 0)] != chunk_of[("gp", 0.5, 0)]
+    assert any({m for m, _, _ in chunk} == {"exact", "gp"} for chunk in chunks)
     stdout = capsys.readouterr().out
     assert "final-500-step mean error" in stdout
     files1 = read_outputs(out1)
-    # byte identical at any parallelism; at --jobs 3 the chunks are
-    # [(0.5, e0)], [(0.5, e1)], [(1, e0), (1, e1)], so the runs sharing
-    # experiment 0's stream land in different worker processes
+    # byte identical at any parallelism
     assert files1 == read_outputs(out2) == read_outputs(out3)
     expected = {"suite_summary.csv", "scenario_instance.json"}
     expected |= {
@@ -198,6 +214,14 @@ def test_gp_demo_runs_on_builtin_defaults(tmp_path, capsys):
     assert cli.main(["gp-demo", "--out", str(out)]) == 0
     assert "analytic gradient vs central difference" in capsys.readouterr().out
     assert (out / "gp_demo.csv").exists()
+
+
+def test_empty_lists_exit_one(tmp_path, capsys):
+    for key in ("[algorithm]\np_values =\n", "[suite]\nmodes =\n"):
+        cfg = ini(tmp_path, key, name="empty.ini")
+        assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert "at least one availability probability" in err and "at least one mode" in err
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

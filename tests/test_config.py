@@ -138,6 +138,14 @@ def test_unknown_section_and_key_are_rejected(tmp_path):
         config.load_config(write(tmp_path, "[validation]\npp = 0.5\n"))
 
 
+def test_default_section_is_rejected(tmp_path):
+    # configparser would merge [DEFAULT] keys into every section, so the
+    # second file would set the study seed to 5
+    for text in ("[DEFAULT]\nseed = 5\n", "[DEFAULT]\nseed = 5\n\n[suite]\nn_experiments = 2\n"):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            config.load_config(write(tmp_path, text))
+
+
 def test_malformed_values(tmp_path):
     with pytest.raises(ConfigError, match="expected a number"):
         config.load_config(write(tmp_path, "[costs]\nbeta = strong\n"))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feedopt import gplearn, scenario
+from feedopt import algorithm, gplearn, scenario
 from feedopt.scenario import ScenarioConfig, active_profile
 
 
@@ -20,7 +20,7 @@ TINY = replace(
 
 def run_one(prob, cfg, p, mode, exp_index):
     """One run of the study: the batch of one of ``run_experiments``."""
-    return scenario.run_experiments(prob, cfg, mode, [(p, exp_index)])[0]
+    return scenario.run_experiments(prob, cfg, [(mode, p, exp_index)])[0]
 
 
 def test_config_validation():
@@ -36,6 +36,10 @@ def test_config_validation():
         ScenarioConfig(switch_steps=(100, 100))
     with pytest.raises(ValueError, match="observation window"):
         ScenarioConfig(gp_max_obs=1)
+    with pytest.raises(ValueError, match="at least one availability probability"):
+        ScenarioConfig(p_values=())
+    with pytest.raises(ValueError, match="at least one mode"):
+        ScenarioConfig(modes=())
 
 
 def test_build_scenario_is_deterministic_in_seed():
@@ -183,12 +187,35 @@ def test_batched_gp_runs_are_their_own_runs():
     # a windowed learner, so refits drop old sites as well as add new ones
     cfg = replace(TINY, gp_max_obs=3)
     prob = scenario.build_scenario(cfg)
-    runs = [(p, e) for p in cfg.p_values for e in range(cfg.n_experiments)]
-    batch = scenario.run_experiments(prob, cfg, "gp", runs)
-    for (p, e), traj in zip(runs, batch):
-        alone = run_one(prob, cfg, p, "gp", e)
-        for name in ("x", "v", "d", "e_norm"):
-            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+    runs = [(m, p, e) for m in ("exact", "gp") for p in cfg.p_values for e in range(cfg.n_experiments)]
+    # mode-major (the learned runs are one block of rows) and interleaved
+    for order in (runs, runs[::2] + runs[1::2]):
+        batch = dict(zip(order, scenario.run_experiments(prob, cfg, order)))
+        for (mode, p, e), traj in batch.items():
+            alone = run_one(prob, cfg, p, mode, e)
+            for name in ("x", "v", "d", "e_norm"):
+                np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+    # eps is switched off, so an exact run's error is xi alone, while a gp
+    # run's error carries the learner's deviation from the true gradient
+    assert cfg.eps_scale == 0
+    for p in cfg.p_values:
+        for e in range(cfg.n_experiments):
+            exact, gp = batch[("exact", p, e)], batch[("gp", p, e)]
+            np.testing.assert_array_equal(exact.v, gp.v)
+            assert np.all(exact.e_norm[1:] != gp.e_norm[1:])
+
+
+def test_suite_advances_both_modes_in_one_kernel_call(monkeypatch):
+    calls = []
+    real = algorithm.simulate
+
+    def spy(prob, cfg, x0, rngs, *args, **kwargs):
+        calls.append(len(rngs))
+        return real(prob, cfg, x0, rngs, *args, **kwargs)
+
+    monkeypatch.setattr(algorithm, "simulate", spy)
+    scenario.run_suite(TINY, n_jobs=1)
+    assert calls == [len(TINY.modes) * len(TINY.p_values) * TINY.n_experiments]
 
 
 def test_suite_statistics_and_parallel_determinism():

@@ -7,7 +7,7 @@ smallest sample sizes the harness accepts.
 import numpy as np
 import pytest
 
-from feedopt import validation
+from feedopt import bounds, validation
 from feedopt.validation import ValidationCheck, ValidationReport
 from tests_common import static_instance
 
@@ -40,9 +40,8 @@ def test_run_trials_streams_are_per_index():
 
 def test_expectation_check_passes_on_reference_instance():
     prob, cfg = static_instance()
-    report = validation.validate_expectation_bound(
-        prob, cfg, n_steps=60, n_trials=100, seed=21
-    )
+    inputs = bounds.bound_inputs_from_problem(prob, cfg, 60, seed=21)
+    report = validation.validate_expectation_bound(prob, cfg, inputs, n_trials=100, seed=21)
     assert len(report.checks) == 1
     check = report.checks[0]
     assert check.passed
@@ -51,22 +50,22 @@ def test_expectation_check_passes_on_reference_instance():
     assert check.statistic <= check.bound * (1 + 1e-9)
     assert check.ratio > 1.0  # envelope is strictly loose on average
     with pytest.raises(ValueError, match="at least 100"):
-        validation.validate_expectation_bound(prob, cfg, 60, 50, seed=21)
+        validation.validate_expectation_bound(prob, cfg, inputs, 50, seed=21)
 
 
 def test_hp_check_passes_on_reference_instance():
     prob, cfg = static_instance()
+    inputs = bounds.bound_inputs_from_problem(prob, cfg, 40, seed=22)
     report = validation.validate_hp_bound(
-        prob, cfg, n_steps=40, n_trials=1000, deltas=(0.3,), check_times=(10, 40),
-        seed=22,
+        prob, cfg, inputs, n_trials=1000, deltas=(0.3,), check_times=(10, 40), seed=22,
     )
     assert [c.passed for c in report.checks] == [True, True]
     for check in report.checks:
         assert check.statistic <= check.bound
     with pytest.raises(ValueError, match="at least 1000"):
-        validation.validate_hp_bound(prob, cfg, 40, 10, (0.3,), (10,), seed=22)
+        validation.validate_hp_bound(prob, cfg, inputs, 10, (0.3,), (10,), seed=22)
     with pytest.raises(ValueError, match="check times"):
-        validation.validate_hp_bound(prob, cfg, 40, 1000, (0.3,), (0,), seed=22)
+        validation.validate_hp_bound(prob, cfg, inputs, 1000, (0.3,), (0,), seed=22)
 
 
 def test_moment_identity_check():

@@ -10,7 +10,8 @@ matching analysis tools:
   that composes them,
 * ``problem``     -- time-varying quadratic tracking problems over a linear
   plant, with exact curvature constants and an optimizer oracle,
-* ``algorithm``   -- the online update itself,
+* ``algorithm``   -- the online update itself: one kernel, ``simulate``,
+  advances a batch of runs, and a lone run is its batch of one,
 * ``bounds``      -- evaluators for the expectation and high-probability
   tracking-error envelopes implied by the noise certificates,
 * ``gplearn``     -- Gaussian-process regression used to learn unknown cost
@@ -31,8 +32,8 @@ Quick start::
     cfg = algorithm.AlgoConfig(alpha=0.1, p=0.7,
                                eps_sampler=subweibull.gaussian(0.05),
                                xi_sampler=subweibull.zero(),
-                               meas_noise=subweibull.zero(), seed=3)
-    traj = algorithm.run(prob, cfg, n_steps=500)
+                               meas_noise=subweibull.zero())
+    traj = algorithm.simulate(prob, cfg, None, [np.random.default_rng(3)], n_steps=500)[0]
 """
 
 from . import algorithm, bounds, config, gplearn, problem, scenario, subweibull, validation

@@ -14,9 +14,9 @@ re-projected onto the current feasible box:
 ``xi_t`` is error in the tracking part, ``n_t`` is measurement noise.
 
 One kernel, :func:`simulate`, advances a batch of independent runs as an
-``(R, m)`` array, one step at a time; :func:`run` is its batch of one.  A
-batch may mix runs whose model term is ``grad U_t + eps_t`` with learned
-runs, whose model term a hook supplies.
+``(R, m)`` array, one step at a time; a lone run is its batch of one.  A
+batch may mix runs whose model term is ``grad U_t + eps_t`` with one block
+of learned runs, whose model term a hook supplies.
 
 Randomness protocol: every generator is consumed exactly as a lone run
 would consume it.  At each step, generator by generator in first-seen
@@ -44,21 +44,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_csv
 from .subweibull import ErrorSampler
 
-__all__ = ["AlgoConfig", "Trajectory", "check_step_size", "simulate", "run", "fan_out"]
+__all__ = ["AlgoConfig", "Trajectory", "check_step_size", "simulate", "fan_out"]
 
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Step size, measurement availability, error models and the run seed."""
+    """Step size, measurement availability and error models."""
 
     alpha: float
     p: float
     eps_sampler: ErrorSampler
     xi_sampler: ErrorSampler
     meas_noise: ErrorSampler
-    seed: int = 0
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -83,20 +83,10 @@ class Trajectory:
     d: np.ndarray
     e_norm: np.ndarray
 
-    @property
-    def n_steps(self) -> int:
-        return self.x.shape[0] - 1
-
     def to_csv(self, path) -> None:
         """Rows ``t, v, d_t, e_norm, x_1..x_M`` with 15 significant digits."""
-        m = self.x.shape[1]
-        header = ["t", "v", "d_t", "e_norm"] + [f"x_{j + 1}" for j in range(m)]
-        row = "{:d},{:d}" + ",{:.15g}" * (2 + m) + "\n"
-        columns = (range(self.x.shape[0]), self.v.tolist(), self.d.tolist(), self.e_norm.tolist())
-        rows = zip(*columns, *self.x.T.tolist())
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(row.format(*r) for r in rows)
+        header = ["t", "v", "d_t", "e_norm"] + [f"x_{j + 1}" for j in range(self.x.shape[1])]
+        write_csv(path, header, (np.arange(self.x.shape[0]), self.v, self.d, self.e_norm, *self.x.T))
 
 
 _D_BLOCK_SIZE = 2**15  # numbers per block of the distance pass (256 KB)
@@ -131,8 +121,8 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     one value per run) to ``cfg.p``.
 
     ``input_grad(X, t)`` optionally replaces the model term
-    ``grad U_t(x) + eps_t`` of the learned runs: ``learned`` is a boolean
-    mask over the runs (default: every run), the hook receives their
+    ``grad U_t(x) + eps_t`` of the learned runs, the block of rows given by
+    the slice ``learned`` (the two come together).  The hook receives their
     iterates ``X = x_{t-1}`` only and returns one ``(m,)`` row per learned
     run.  eps is still drawn, so the sample path is unchanged, and a learned
     run's recorded error norm uses the hook's deviation from the true
@@ -160,14 +150,8 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     p = np.broadcast_to(np.asarray(cfg.p if p is None else p, dtype=float), (n_runs,))
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise ValueError(f"availability probability must lie in (0, 1], got {p}")
-    learned = input_grad is not None if learned is None else learned
-    rows = np.flatnonzero(np.broadcast_to(learned, (n_runs,)))
-    if rows.size and input_grad is None:
-        raise ValueError("learned runs need an input_grad hook")
-    if not rows.size:
-        input_grad = None  # no learned run, so the hook is never called
-    elif rows[-1] - rows[0] + 1 == rows.size:
-        rows = slice(rows[0], rows[-1] + 1)  # one block of runs: views, not copies
+    if (input_grad is None) != (learned is None) or not isinstance(learned, (slice, type(None))):
+        raise ValueError("input_grad comes with learned, one slice of runs")
 
     G, beta, y_ref = prob.plant.G, prob.costs.beta, prob.costs.y_ref
     hw = prob.costs.w @ prob.plant.H.T  # disturbance part of the output, per step
@@ -198,8 +182,8 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
         model_term = u_grad + eps_r
         err = eps_r + xi_r
         if input_grad is not None:
-            model_term[rows] = input_grad(x_prev[rows], t)
-            err[rows] = (model_term[rows] - u_grad[rows]) + xi_r[rows]
+            model_term[learned] = input_grad(x_prev[learned], t)
+            err[learned] = (model_term[learned] - u_grad[learned]) + xi_r[learned]
         e_norm[:, t] = np.sqrt(_rowsum(err**2))
         y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise[owner]
         grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi_r
@@ -214,20 +198,6 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
         block = slice(lo, lo + width)
         d[:, block] = np.sqrt(_rowsum((x[:, block] - optima[block]) ** 2))
     return [Trajectory(x[r], v[r], d[r], e_norm[r]) for r in range(n_runs)]
-
-
-def run(prob, cfg, x0=None, n_steps=None, input_grad=None, after_step=None, rng=None):
-    """One run: :func:`simulate` with a batch of one.
-
-    ``x0`` is one starting point (default: the step-0 box midpoint), ``rng``
-    defaults to ``default_rng(cfg.seed)``, and the hooks see this run alone:
-    ``input_grad(x, t) -> (m,)`` and ``after_step(t, x_t)``.  Returns a
-    :class:`Trajectory`.
-    """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    grad_hook = None if input_grad is None else (lambda X, t: np.asarray(input_grad(X[0], t))[None])
-    step_hook = None if after_step is None else (lambda t, X: after_step(t, X[0]))
-    return simulate(prob, cfg, x0, [rng], n_steps, input_grad=grad_hook, after_step=step_hook)[0]
 
 
 def fan_out(fn, runs, n_jobs=1):

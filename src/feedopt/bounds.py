@@ -45,10 +45,11 @@ Newton iteration in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_csv
 from .subweibull import SubWeibull, vector_norm_class
 
 __all__ = [
@@ -133,16 +134,14 @@ class BoundCurve:
     transient: np.ndarray
     path_term: np.ndarray
     error_term: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         """Rows ``t, bound, transient_term, path_term, error_term`` with 15
         significant digits."""
-        cols = (self.value, self.transient, self.path_term, self.error_term)
-        rows = zip(self.t.tolist(), *(col.tolist() for col in cols))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,bound,transient_term,path_term,error_term\n")
-            fh.writelines("{:d},{:.15g},{:.15g},{:.15g},{:.15g}\n".format(*r) for r in rows)
+        write_csv(
+            path, ["t", "bound", "transient_term", "path_term", "error_term"],
+            (self.t, self.value, self.transient, self.path_term, self.error_term),
+        )
 
 
 def expectation_bound(inputs: BoundInputs) -> BoundCurve:
@@ -167,8 +166,7 @@ def expectation_bound(inputs: BoundInputs) -> BoundCurve:
         error[t] = rho[t] * error[t - 1] + inputs.alpha * inputs.p * inputs.e_mean[t]
     value = transient + path + error
     return BoundCurve(
-        t=np.arange(T + 1), value=value, transient=transient,
-        path_term=path, error_term=error, meta={"kind": "expectation"},
+        t=np.arange(T + 1), value=value, transient=transient, path_term=path, error_term=error
     )
 
 
@@ -197,9 +195,7 @@ def expectation_bound_asymptotic(inputs: BoundInputs) -> BoundCurve:
     err_run = np.maximum.accumulate(inputs.e_mean)
     error = inputs.alpha * inputs.p * gain * err_run
     return BoundCurve(
-        t=t, value=transient + path + error, transient=transient,
-        path_term=path, error_term=error,
-        meta={"kind": "expectation-asymptotic", "rho_sup": rho_sup},
+        t=t, value=transient + path + error, transient=transient, path_term=path, error_term=error
     )
 
 
@@ -336,7 +332,6 @@ def hp_bound_trajectory(inputs: BoundInputs) -> BoundCurve:
     return BoundCurve(
         t=np.arange(T + 1), value=value, transient=pref * transient,
         path_term=pref * geo * phi_run, error_term=pref * geo * nu_run,
-        meta={"kind": "high-probability", "delta": inputs.delta, "prefactor": pref},
     )
 
 
@@ -363,10 +358,7 @@ def expected_error_norm(
         draws = noise_sampler.sample(rng, n_samples * n_out).reshape(n_samples, n_out)
         e += draws @ noise_map.T
     norms = np.linalg.norm(e, axis=1)
-    mean = float(norms.mean())
-    if mean == 0.0:
-        return 0.0, 0.0
-    return mean, float(norms.std(ddof=1) / math.sqrt(n_samples))
+    return float(norms.mean()), float(norms.std(ddof=1) / math.sqrt(n_samples))
 
 
 def effective_tracking_error_class(
@@ -413,14 +405,10 @@ def bound_inputs_from_problem(prob, cfg, n_steps=None, delta=None, seed=0) -> Bo
 
     noise_map = prob.costs.beta * prob.plant.G.T
     m = prob.n_inputs
-    if cfg.eps_sampler.scale == 0 and cfg.xi_sampler.scale == 0 and cfg.meas_noise.scale == 0:
-        e_point = 0.0
-    else:
-        rng = np.random.default_rng(seed)
-        e_hat, e_se = expected_error_norm(
-            cfg.eps_sampler, cfg.xi_sampler, m, 10**5, rng, cfg.meas_noise, noise_map
-        )
-        e_point = e_hat + 3.0 * e_se
+    e_hat, e_se = expected_error_norm(
+        cfg.eps_sampler, cfg.xi_sampler, m, 10**5, np.random.default_rng(seed),
+        cfg.meas_noise, noise_map,
+    )
     xi_eff = effective_tracking_error_class(
         cfg.xi_sampler.declared, cfg.meas_noise.declared, noise_map
     )
@@ -430,7 +418,7 @@ def bound_inputs_from_problem(prob, cfg, n_steps=None, delta=None, seed=0) -> Bo
         p=cfg.p,
         zeta_t=zeta_arr,
         phi=prob.path_lengths()[:n_steps],
-        e_mean=np.full(n_steps + 1, e_point),
+        e_mean=np.full(n_steps + 1, e_hat + 3.0 * e_se),
         nu_e=np.full(n_steps + 1, norm_class.nu),
         theta_eps=cfg.eps_sampler.declared.theta,
         theta_xi=xi_eff.theta,

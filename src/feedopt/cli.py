@@ -21,7 +21,6 @@ deterministic in (config, seed) and independent of ``--jobs``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -30,6 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import algorithm, bounds, scenario, validation
+from ._table import write_csv
 from .config import (
     ConfigError,
     ValidationSettings,
@@ -277,23 +277,18 @@ def _cmd_gp_demo(args) -> int:
     coords = np.arange(prob.n_inputs)[:, None]
     true_u = scenario.coordinate_cost(prob, coords, grid, 0)
     true_du = 2.0 * prob.costs.a[0, coords] * grid + prob.costs.b[0, coords]
-    with open(os.path.join(args.out, "gp_demo.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["coord", "x", "true_u", "true_du", "gp_mean", "gp_var", "gp_grad"])
-        for m in range(prob.n_inputs):
-            err = float(np.max(np.abs(grad[m] - true_du[m])))
-            print(
-                f"coordinate {m}: {learner.n_obs} observations, "
-                f"max |gp grad - true grad| over the box = {err:.4g}"
-            )
-            for i in range(n_grid):
-                writer.writerow(
-                    [m]
-                    + [
-                        format(float(v[m, i]), ".15g")
-                        for v in (grid, true_u, true_du, mean, var, grad)
-                    ]
-                )
+    write_csv(
+        os.path.join(args.out, "gp_demo.csv"),
+        ["coord", "x", "true_u", "true_du", "gp_mean", "gp_var", "gp_grad"],
+        [np.repeat(coords[:, 0], n_grid)]
+        + [v.ravel() for v in (grid, true_u, true_du, mean, var, grad)],
+    )
+    for m in range(prob.n_inputs):
+        err = float(np.max(np.abs(grad[m] - true_du[m])))
+        print(
+            f"coordinate {m}: {learner.n_obs} observations, "
+            f"max |gp grad - true grad| over the box = {err:.4g}"
+        )
     worst_fd = float(np.max(np.abs(grad - fd)))
     print(f"analytic gradient vs central difference: max deviation {worst_fd:.3g}")
     return 0

@@ -29,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import algorithm, gplearn, problem, subweibull
+from ._table import write_csv
 
 __all__ = [
     "ScenarioConfig",
@@ -107,6 +108,10 @@ class ScenarioConfig:
             raise ValueError("need at least one availability probability in p_values")
         if not self.modes:
             raise ValueError("need at least one mode in modes")
+        for name in ("p_values", "modes"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats an entry: {', '.join(map(str, values))}")
         if not all(0.0 < p <= 1.0 for p in self.p_values):
             raise ValueError(f"availability probabilities must lie in (0, 1], got {self.p_values}")
         if any(m not in ("exact", "gp") for m in self.modes):
@@ -150,7 +155,6 @@ def algo_config(cfg: ScenarioConfig, p: float) -> algorithm.AlgoConfig:
         eps_sampler=_sampler(cfg.eps_kind, cfg.eps_scale, cfg.eps_theta),
         xi_sampler=_sampler(cfg.xi_kind, cfg.xi_scale, cfg.xi_theta),
         meas_noise=_sampler(cfg.meas_kind, cfg.meas_scale, cfg.meas_theta),
-        seed=cfg.seed,
     )
 
 
@@ -262,7 +266,8 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
     The runs of one experiment, in both modes, share one main generator, so
     the kernel draws its path once per step for all of them; each ``gp``
     run has its own evaluation generator, which the learner draws from run
-    by run, and ``exact`` runs have none.
+    by run, and ``exact`` runs have none.  The ``gp`` runs must be one block
+    of consecutive runs, as they are in :func:`run_suite`'s mode-major order.
 
     Every ``gp`` run has its own GPs, one per coordinate, held in one
     learner of batch ``(R_gp, m)`` over the ``gp`` runs.  The owners signal
@@ -288,10 +293,13 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
     rng_main, x0 = [main[e] for _, _, e in runs], [start[e] for _, _, e in runs]
     ps = [p for _, p, _ in runs]
     acfg = algo_config(cfg, ps[0])  # the kernel takes each run's own p from ``ps``
-    gp = np.array([mode == "gp" for mode, _, _ in runs])
+    gp_rows = [r for r, (mode, _, _) in enumerate(runs) if mode == "gp"]
     hooks = {}
-    if gp.any():
-        rng_obs = [stream(e, 1) for mode, _, e in runs if mode == "gp"]
+    if gp_rows:
+        block = slice(gp_rows[0], gp_rows[-1] + 1)
+        if block.stop - block.start != len(gp_rows):
+            raise ValueError("the gp runs must be one block of consecutive runs")
+        rng_obs = [stream(e, 1) for _, _, e in runs[block]]
         learners = [seed_cost_learners(prob, cfg, rng_obs)] * 2
 
         def input_grad(X, t):
@@ -301,12 +309,12 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
             if t % cfg.eval_period:
                 return
             k = active_profile(cfg.switch_steps, t)
-            X = X[gp]
+            X = X[block]
             noise = np.array([rng.standard_normal(prob.n_inputs) for rng in rng_obs])
             z = coordinate_cost(prob, slice(None), X, t) + cfg.obs_noise_sigma * noise
             learners[k] = learners[k].add_observation(X, z, max_obs=cfg.gp_max_obs)
 
-        hooks = {"input_grad": input_grad, "learned": gp, "after_step": observe}
+        hooks = {"input_grad": input_grad, "learned": block, "after_step": observe}
     return algorithm.simulate(prob, acfg, x0, rng_main, n_steps=cfg.horizon, p=ps, **hooks)
 
 
@@ -329,15 +337,15 @@ class ExperimentResult:
 
     def to_csv(self, path) -> None:
         """Rows ``p, mode, t, mean_d, std_d`` in config order, t ascending."""
-        row = "{},{},{:d},{:.15g},{:.15g}\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("p,mode,t,mean_d,std_d\n")
-            for p in self.p_values:
-                ptag = format(float(p), ".15g")
-                for mode in self.modes:
-                    columns = (self.mean_d[(p, mode)].tolist(), self.std_d[(p, mode)].tolist())
-                    rows = zip(range(1, self.horizon + 1), *columns)
-                    fh.writelines(row.format(ptag, mode, *r) for r in rows)
+        keys = [(p, mode) for p in self.p_values for mode in self.modes]
+        n = self.horizon
+        write_csv(path, ["p", "mode", "t", "mean_d", "std_d"], (
+            np.repeat([float(p) for p, _ in keys], n),
+            np.repeat([mode for _, mode in keys], n),
+            np.tile(np.arange(1, n + 1), len(keys)),
+            np.concatenate([self.mean_d[k] for k in keys]),
+            np.concatenate([self.std_d[k] for k in keys]),
+        ))
 
 
 def run_suite(cfg: ScenarioConfig, prob=None, n_jobs: int = 1, trajectory_sink=None) -> ExperimentResult:

@@ -19,16 +19,15 @@ worker count used to produce them.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom
+from scipy.special import bdtr, gammaln
 
 from . import algorithm, bounds, problem, subweibull
+from ._table import write_csv
 
 __all__ = [
     "ValidationCheck",
@@ -82,23 +81,22 @@ class ValidationReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["name", "passed", "statistic", "bound", "n_samples", "std_error", "ratio"]
-            )
-            for c in self.checks:
-                writer.writerow(
-                    [
-                        c.name,
-                        int(c.passed),
-                        format(c.statistic, ".15g"),
-                        format(c.bound, ".15g"),
-                        c.n_samples,
-                        format(c.std_error, ".15g"),
-                        format(c.ratio, ".15g"),
-                    ]
-                )
+        """One row per check, the columns named after its fields."""
+        names = [f.name for f in fields(ValidationCheck)]
+        write_csv(path, names, [[getattr(c, name) for c in self.checks] for name in names])
+
+
+def _binom_quantile(n: int, delta: float) -> int:
+    """The 99% quantile of ``Binomial(n, delta)``: the smallest ``k`` with
+    ``P[X <= k] >= 0.99``, found by bisection on ``[0, n]``."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bdtr(mid, n, delta) >= 0.99:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_
     report = ValidationReport()
     for delta in deltas:
         curve = bounds.hp_bound_trajectory(replace(inputs, delta=delta))
-        allowance = float(binom.ppf(0.99, n_trials, delta)) / n_trials
+        allowance = _binom_quantile(n_trials, delta) / n_trials
         for t in check_times:
             freq = float(np.mean(d[:, t] > curve.value[t]))
             quantile = float(np.quantile(d[:, t], 1.0 - delta))
@@ -297,7 +295,7 @@ def _tail_checks(name, samples, cert, report):
     for delta in _TAIL_DELTAS:
         level = cert.hp_bound(delta)
         freq = float(np.mean(absx >= level))
-        allowance = float(binom.ppf(0.99, n, delta)) / n
+        allowance = _binom_quantile(n, delta) / n
         report.checks.append(
             ValidationCheck(
                 name=f"{name} tail delta={delta}",
@@ -406,6 +404,5 @@ def synthetic_instance(
         eps_sampler=subweibull.gaussian(error_scale),
         xi_sampler=subweibull.gaussian(error_scale),
         meas_noise=subweibull.zero(),
-        seed=seed,
     )
     return prob, cfg

@@ -183,7 +183,7 @@ def test_criterion_6_noise_free_contraction():
     prob, cfg = static_instance(n_t=201, silent=True, p=1.0)
     mu, L = (c[0] for c in prob.curvature_all())
     zeta = max(abs(1 - cfg.alpha * mu), abs(1 - cfg.alpha * L))
-    traj = algorithm.run(prob, cfg, n_steps=200)
+    traj = algorithm.simulate(prob, cfg, None, [np.random.default_rng(0)], n_steps=200)[0]
     envelope = zeta ** np.arange(201) * traj.d[0] + 1e-9
     violations = int(np.sum(traj.d > envelope))
     report(

@@ -54,12 +54,17 @@ def noisy_config():
     )
 
 
-def quiet_config(alpha, p, seed=0):
+def quiet_config(alpha, p):
     return algorithm.AlgoConfig(
         alpha=alpha, p=p,
         eps_sampler=subweibull.zero(), xi_sampler=subweibull.zero(),
-        meas_noise=subweibull.zero(), seed=seed,
+        meas_noise=subweibull.zero(),
     )
+
+
+def lone_run(prob, cfg, seed, n_steps, x0=None, **hooks):
+    """One run on a fresh ``default_rng(seed)``: the batch of one of ``simulate``."""
+    return algorithm.simulate(prob, cfg, x0, [np.random.default_rng(seed)], n_steps, **hooks)[0]
 
 
 def test_config_validation():
@@ -76,7 +81,7 @@ def test_noise_free_full_availability_contracts_at_zeta():
     mu, L = (c[0] for c in prob.curvature_all())
     alpha = 1.0 / L
     zeta = max(abs(1 - alpha * mu), abs(1 - alpha * L))
-    traj = algorithm.run(prob, quiet_config(alpha, 1.0), n_steps=50)
+    traj = lone_run(prob, quiet_config(alpha, 1.0), 0, 50)
     assert traj.d[0] > 0
     for t in range(1, 51):
         assert traj.d[t] <= zeta**t * traj.d[0] + 1e-9
@@ -90,9 +95,9 @@ def test_skipped_updates_leave_the_iterate_in_place():
     cfg = algorithm.AlgoConfig(
         alpha=0.2, p=0.3,
         eps_sampler=subweibull.gaussian(0.1), xi_sampler=subweibull.gaussian(0.1),
-        meas_noise=subweibull.gaussian(0.05), seed=4,
+        meas_noise=subweibull.gaussian(0.05),
     )
-    traj = algorithm.run(prob, cfg, n_steps=40)
+    traj = lone_run(prob, cfg, 4, 40)
     skipped = np.where(traj.v[1:] == 0)[0] + 1
     assert skipped.size > 0
     for t in skipped:
@@ -107,13 +112,13 @@ def test_same_seed_same_trajectory():
     cfg = algorithm.AlgoConfig(
         alpha=0.2, p=0.7,
         eps_sampler=subweibull.gaussian(0.2), xi_sampler=subweibull.weibull_tail(1.0, 0.1),
-        meas_noise=subweibull.gaussian(0.05), seed=123,
+        meas_noise=subweibull.gaussian(0.05),
     )
-    t1 = algorithm.run(prob, cfg, n_steps=30)
-    t2 = algorithm.run(prob, cfg, n_steps=30)
+    t1 = lone_run(prob, cfg, 123, 30)
+    t2 = lone_run(prob, cfg, 123, 30)
     np.testing.assert_array_equal(t1.x, t2.x)
     np.testing.assert_array_equal(t1.v, t2.v)
-    t3 = algorithm.run(prob, cfg, n_steps=30, rng=np.random.default_rng(99))
+    t3 = lone_run(prob, cfg, 99, 30)
     assert not np.array_equal(t1.x, t3.x)
 
 
@@ -124,14 +129,8 @@ def test_availability_is_monotone_in_p():
         eps_sampler=subweibull.zero(), xi_sampler=subweibull.zero(),
         meas_noise=subweibull.zero(),
     )
-    lo = algorithm.run(
-        prob, algorithm.AlgoConfig(alpha=0.2, p=0.4, **base),
-        n_steps=50, rng=np.random.default_rng(5),
-    )
-    hi = algorithm.run(
-        prob, algorithm.AlgoConfig(alpha=0.2, p=0.9, **base),
-        n_steps=50, rng=np.random.default_rng(5),
-    )
+    lo = lone_run(prob, algorithm.AlgoConfig(alpha=0.2, p=0.4, **base), 5, 50)
+    hi = lone_run(prob, algorithm.AlgoConfig(alpha=0.2, p=0.9, **base), 5, 50)
     assert np.all(hi.v >= lo.v)
     assert hi.v.sum() > lo.v.sum()
 
@@ -140,25 +139,32 @@ def test_run_argument_validation():
     prob = static_problem()
     good = quiet_config(0.2, 1.0)
     with pytest.raises(ValueError, match="step count"):
-        algorithm.run(prob, good, n_steps=0)
+        lone_run(prob, good, 0, 0)
     with pytest.raises(ValueError, match="step count"):
-        algorithm.run(prob, good, n_steps=prob.n_steps + 1)
+        lone_run(prob, good, 0, prob.n_steps + 1)
     with pytest.raises(ValueError, match="contraction condition"):
-        algorithm.run(prob, quiet_config(5.0, 1.0), n_steps=10)
+        lone_run(prob, quiet_config(5.0, 1.0), 0, 10)
     with pytest.raises(ValueError, match="shape"):
-        algorithm.run(prob, good, x0=np.zeros(3), n_steps=10)
+        lone_run(prob, good, 0, 10, x0=np.zeros(3))
     with pytest.raises(ValueError, match="infeasible"):
-        algorithm.run(prob, good, x0=np.array([10.0, 0.0]), n_steps=10)
+        lone_run(prob, good, 0, 10, x0=np.array([10.0, 0.0]))
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="shape"):
         algorithm.simulate(prob, good, np.zeros((3, 2)), rngs, n_steps=10)
     with pytest.raises(ValueError, match="availability"):
         algorithm.simulate(prob, good, None, rngs, n_steps=10, p=[0.5, 0.0])
+    # the hook and its block of learned runs come together, and the block is a slice
+    hook = prob.u_gradient
+    for hooks in (
+        {"input_grad": hook}, {"learned": slice(0, 1)}, {"input_grad": hook, "learned": [True, False]},
+    ):
+        with pytest.raises(ValueError, match="one slice of runs"):
+            algorithm.simulate(prob, good, None, rngs, n_steps=10, **hooks)
 
 
 def test_default_start_is_the_box_midpoint():
     prob = static_problem()
-    traj = algorithm.run(prob, quiet_config(0.2, 1.0), n_steps=5)
+    traj = lone_run(prob, quiet_config(0.2, 1.0), 0, 5)
     np.testing.assert_allclose(traj.x[0], 0.0)  # symmetric box
     assert traj.v[0] == 0
 
@@ -170,13 +176,10 @@ def test_input_grad_hook_reproduces_exact_run():
     cfg = algorithm.AlgoConfig(
         alpha=0.2, p=0.8,
         eps_sampler=subweibull.zero(), xi_sampler=subweibull.gaussian(0.1),
-        meas_noise=subweibull.gaussian(0.05), seed=8,
+        meas_noise=subweibull.gaussian(0.05),
     )
-    ref = algorithm.run(prob, cfg, n_steps=40, rng=np.random.default_rng(17))
-    hooked = algorithm.run(
-        prob, cfg, n_steps=40, rng=np.random.default_rng(17),
-        input_grad=lambda x, t: prob.u_gradient(x, t),
-    )
+    ref = lone_run(prob, cfg, 17, 40)
+    hooked = lone_run(prob, cfg, 17, 40, input_grad=prob.u_gradient, learned=slice(0, 1))
     np.testing.assert_allclose(hooked.x, ref.x, atol=1e-12)
     # with an exact model the recorded error is the xi channel alone
     assert np.all(hooked.e_norm[1:] > 0)
@@ -185,12 +188,9 @@ def test_input_grad_hook_reproduces_exact_run():
 def test_after_step_hook_sees_every_step():
     prob = static_problem()
     seen = []
-    algorithm.run(
-        prob, quiet_config(0.2, 0.5, seed=3), n_steps=25,
-        after_step=lambda t, x: seen.append((t, x.copy())),
-    )
+    lone_run(prob, quiet_config(0.2, 0.5), 3, 25, after_step=lambda t, x: seen.append((t, x.copy())))
     assert [t for t, _ in seen] == list(range(1, 26))
-    assert all(x.shape == (2,) for _, x in seen)
+    assert all(x.shape == (1, 2) for _, x in seen)
 
 
 def literal_run(prob, cfg, x0, rng, n_steps, input_grad=None):
@@ -226,18 +226,18 @@ def test_kernel_matches_a_literal_per_step_loop(learned):
     cfg = noisy_config()
     # a deliberately biased model term, so the input_grad path carries its own error
     hook = (lambda x, t: 1.1 * prob.u_gradient(x, t) + 0.05) if learned else None
-    # "mixed": the hook serves the first and last runs only
-    mask = (True, False, True) if learned == "mixed" else None
+    # "mixed": the hook serves the block of the last two runs only
+    rows = {False: None, True: slice(0, 3), "mixed": slice(1, 3)}[learned]
     x0 = np.array([[0.0, 0.0, 0.0], [0.4, 0.2, -1.0], [-0.5, -0.3, 0.3]])
     seeds = (3, 4, 5)
     trajs = algorithm.simulate(
         prob, cfg, x0, [np.random.default_rng(s) for s in seeds], n_steps=50,
-        input_grad=hook, learned=mask,
+        input_grad=hook, learned=rows,
     )
     for r, (traj, start, seed) in enumerate(zip(trajs, x0, seeds)):
         x, v, d, e = literal_run(
             prob, cfg, start, np.random.default_rng(seed), 50,
-            input_grad=hook if mask is None or mask[r] else None,
+            input_grad=hook if rows is not None and r in range(3)[rows] else None,
         )
         assert 0 < v.sum() < 50
         np.testing.assert_array_equal(traj.v, v)
@@ -261,9 +261,7 @@ def test_batch_rows_are_their_own_runs(n_runs, n_steps, seeds, ps):
         prob, cfg, None, [np.random.default_rng(s) for s in seeds], n_steps=n_steps, p=ps,
     )
     for traj, seed, p in zip(batch, seeds, ps):
-        alone = algorithm.run(
-            prob, replace(cfg, p=p), n_steps=n_steps, rng=np.random.default_rng(seed)
-        )
+        alone = lone_run(prob, replace(cfg, p=p), seed, n_steps)
         for name in ("x", "v", "d", "e_norm"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
         steps = np.arange(n_steps + 1)
@@ -295,7 +293,7 @@ def test_runs_sharing_a_generator_each_see_a_lone_run(n_steps, seeds, data):
     batch = algorithm.simulate(prob, cfg, None, [gens[k] for k in owner], n_steps=n_steps, p=ps)
     for traj, k, p in zip(batch, owner, ps):
         lone_rng = np.random.default_rng(seeds[k])
-        alone = algorithm.run(prob, replace(cfg, p=p), n_steps=n_steps, rng=lone_rng)
+        alone = algorithm.simulate(prob, replace(cfg, p=p), None, [lone_rng], n_steps)[0]
         for name in ("x", "v", "d", "e_norm"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
         # a shared generator advanced once per step, exactly as far as the lone one
@@ -304,8 +302,8 @@ def test_runs_sharing_a_generator_each_see_a_lone_run(n_steps, seeds, data):
 
 def test_trajectory_record_and_csv(tmp_path):
     prob = static_problem()
-    traj = algorithm.run(prob, quiet_config(0.2, 1.0), n_steps=3)
-    assert traj.n_steps == 3
+    traj = lone_run(prob, quiet_config(0.2, 1.0), 0, 3)
+    assert traj.x.shape == (4, 2)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().splitlines()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feedopt import algorithm, bounds, subweibull
+from feedopt import algorithm, bounds, cli, gplearn, scenario, subweibull, validation
 from feedopt.bounds import BoundInputs
 
 
@@ -223,7 +223,6 @@ def test_expectation_bound_matches_literal_sums():
     np.testing.assert_allclose(
         curve.value, curve.transient + curve.path_term + curve.error_term, rtol=1e-12
     )
-    assert curve.meta["kind"] == "expectation"
 
 
 def test_asymptotic_envelope_dominates_the_exact_one():
@@ -231,7 +230,6 @@ def test_asymptotic_envelope_dominates_the_exact_one():
     exact = bounds.expectation_bound(inputs)
     geo = bounds.expectation_bound_asymptotic(inputs)
     assert np.all(geo.value >= exact.value - 1e-12)
-    assert geo.meta["rho_sup"] == pytest.approx(float(inputs.rho[1:].max()))
     # geometric transient decays to the fixed-point level
     tail_span = geo.value[-1] - (geo.path_term[-1] + geo.error_term[-1])
     assert tail_span == pytest.approx(geo.transient[-1])
@@ -246,10 +244,10 @@ def test_expectation_bound_dominates_a_simulated_static_mean():
     curve = bounds.expectation_bound(inputs)
     d = np.stack(
         [
-            algorithm.run(
-                prob, cfg, n_steps=80,
-                rng=np.random.default_rng(np.random.SeedSequence(2, spawn_key=(i,))),
-            ).d
+            algorithm.simulate(
+                prob, cfg, None, [np.random.default_rng(np.random.SeedSequence(2, spawn_key=(i,)))],
+                n_steps=80,
+            )[0].d
             for i in range(60)
         ]
     )
@@ -280,10 +278,6 @@ def test_hp_bound_matches_literal_construction():
     inputs = make_inputs(delta=0.1)
     curve = bounds.hp_bound_trajectory(inputs)
     np.testing.assert_allclose(curve.value, brute_force_hp(inputs, 12), rtol=1e-12)
-    assert curve.meta["delta"] == 0.1
-    assert curve.meta["prefactor"] == pytest.approx(
-        math.log(20.0) * 2 * math.e, rel=1e-12
-    )
 
 
 def test_hp_bound_grows_as_delta_shrinks():
@@ -415,47 +409,109 @@ def test_bound_inputs_silent_noise_gives_zero_error_mean():
     assert np.all(inputs.nu_e == 0.0)
 
 
-EDGE_VALUES = [0.0, -0.0, 1e-300, 1e-5, 1.5e16, math.inf, math.nan]
+EDGE_VALUES = [0.0, -0.0, 1e-300, 1e-5, 1.5e16, math.inf, math.nan, 1.0 / 3.0, -2.5e-7]
+# integers past 1e15 read differently as {:d} and as {:.15g}
+EDGE_INTS = [0, 1, -7, 10**15 + 1, 2**62]
 
 
 def reference_csv(path, header, rows):
-    """The writers' format spelt out with ``csv.writer`` and ``format``."""
+    """Every table's format spelt out with ``csv.writer`` and ``format``:
+    Python floats with 15 significant digits, ints and strings as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for ints, floats in rows:
-            writer.writerow([int(i) for i in ints] + [format(float(v), ".15g") for v in floats])
+        for row in rows:
+            writer.writerow([format(v, ".15g") if isinstance(v, float) else v for v in row])
 
 
-def test_csv_writers_match_a_csv_writer_reference(tmp_path):
-    vals = np.array(EDGE_VALUES + [1.0 / 3.0, -2.5e-7])
+def assert_matches_reference(path, header, rows):
+    ref = path.with_name("ref_" + path.name)
+    reference_csv(ref, header, rows)
+    assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+# the faked posterior mean holds inf, so gp-demo's central difference reads nan
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_csv_writers_match_a_csv_writer_reference(tmp_path, monkeypatch):
+    vals = np.array(EDGE_VALUES)
     n = vals.size
+    rolled = [np.roll(vals, j) for j in range(8)]
+
+    t = np.resize(EDGE_INTS, n)
     curve = bounds.BoundCurve(
-        t=np.arange(n), value=vals, transient=vals[::-1].copy(),
-        path_term=np.roll(vals, 1), error_term=np.roll(vals, 2),
+        t=t, value=vals, transient=rolled[1], path_term=rolled[2], error_term=rolled[3]
     )
     curve.to_csv(tmp_path / "curve.csv")
-    reference_csv(
-        tmp_path / "curve_ref.csv",
+    assert_matches_reference(
+        tmp_path / "curve.csv",
         ["t", "bound", "transient_term", "path_term", "error_term"],
+        [[int(t[i])] + [float(c[i]) for c in (vals, *rolled[1:4])] for i in range(n)],
+    )
+
+    x = np.stack(rolled[:3], axis=1)
+    v = (np.arange(n) % 2).astype(np.int8)
+    traj = algorithm.Trajectory(x=x, v=v, d=rolled[4], e_norm=rolled[5])
+    traj.to_csv(tmp_path / "traj.csv")
+    assert_matches_reference(
+        tmp_path / "traj.csv",
+        ["t", "v", "d_t", "e_norm", "x_1", "x_2", "x_3"],
+        [[i, int(v[i])] + [float(c) for c in (rolled[4][i], rolled[5][i], *x[i])] for i in range(n)],
+    )
+
+    res = scenario.ExperimentResult(p_values=(0.4, 1.0, 1e-300), modes=("exact", "gp"), horizon=n)
+    keys = [(p, m) for p in res.p_values for m in res.modes]
+    for i, key in enumerate(keys):
+        res.mean_d[key], res.std_d[key] = rolled[i % 8], rolled[(i + 3) % 8]
+    res.to_csv(tmp_path / "summary.csv")
+    assert_matches_reference(
+        tmp_path / "summary.csv",
+        ["p", "mode", "t", "mean_d", "std_d"],
         [
-            ([t], [curve.value[t], curve.transient[t], curve.path_term[t], curve.error_term[t]])
-            for t in range(n)
+            [format(p, ".15g"), m, i + 1, float(res.mean_d[(p, m)][i]), float(res.std_d[(p, m)][i])]
+            for p, m in keys for i in range(n)
         ],
     )
-    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "curve_ref.csv").read_bytes()
 
-    x = np.stack([np.roll(vals, j) for j in range(3)], axis=1)
-    traj = algorithm.Trajectory(
-        x=x, v=(np.arange(n) % 2).astype(np.int8), d=vals[::-1].copy(), e_norm=np.roll(vals, 3)
+    checks = [
+        validation.ValidationCheck(
+            f"check {i} delta=0.1", bool(i % 2), float(vals[i]), float(rolled[1][i]),
+            EDGE_INTS[i % len(EDGE_INTS)], float(rolled[2][i]), float(rolled[3][i]),
+        )
+        for i in range(n)
+    ]
+    validation.ValidationReport(checks).to_csv(tmp_path / "report.csv")
+    assert_matches_reference(
+        tmp_path / "report.csv",
+        ["name", "passed", "statistic", "bound", "n_samples", "std_error", "ratio"],
+        [
+            [c.name, int(c.passed), c.statistic, c.bound, c.n_samples, c.std_error, c.ratio]
+            for c in checks
+        ],
     )
-    traj.to_csv(tmp_path / "traj.csv")
-    reference_csv(
-        tmp_path / "traj_ref.csv",
-        ["t", "v", "d_t", "e_norm", "x_1", "x_2", "x_3"],
-        [([t, traj.v[t]], [traj.d[t], traj.e_norm[t], *traj.x[t]]) for t in range(n)],
+
+    # gp-demo: the learner's outputs replaced by edge values
+    scen = scenario.ScenarioConfig(horizon=60, switch_steps=(20, 40))
+    m, n_grid = scen.n_ders, 101
+    fake = [np.resize(np.roll(vals, j), (1, m, n_grid)) for j in range(3)]
+    for name, out in zip(("posterior_mean", "posterior_var", "mean_gradient"), fake):
+        monkeypatch.setattr(gplearn.GPPosterior, name, lambda self, xs, out=out: out)
+    prob = scenario.build_scenario(scen)
+    lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
+    grid = np.linspace(lo, up, n_grid, axis=-1)
+    coords = np.arange(m)[:, None]
+    true_u = scenario.coordinate_cost(prob, coords, grid, 0)
+    true_du = 2.0 * prob.costs.a[0, coords] * grid + prob.costs.b[0, coords]
+    ini = tmp_path / "gp.ini"
+    ini.write_text("[costs]\nswitch_steps = 20, 40\n[suite]\nhorizon = 60\n")
+    assert cli.main(["gp-demo", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert_matches_reference(
+        tmp_path / "gp_demo.csv",
+        ["coord", "x", "true_u", "true_du", "gp_mean", "gp_var", "gp_grad"],
+        [
+            [j] + [float(v[j, i]) for v in (grid, true_u, true_du, fake[0][0], fake[1][0], fake[2][0])]
+            for j in range(m) for i in range(n_grid)
+        ],
     )
-    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "traj_ref.csv").read_bytes()
 
 
 def test_bound_curve_csv(tmp_path):

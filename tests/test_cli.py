@@ -1,9 +1,11 @@
 """Command line flows: files written, exit codes, cross-worker determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from feedopt import cli, config, problem, scenario
 from tests_common import from_dict
 
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_SCENARIO = """
 [costs]
@@ -222,6 +225,29 @@ def test_empty_lists_exit_one(tmp_path, capsys):
         assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
     err = capsys.readouterr().err
     assert "at least one availability probability" in err and "at least one mode" in err
+
+
+def test_repeated_entries_exit_one(tmp_path, capsys):
+    for old, new in (
+        ("p_values = 0.5, 1.0", "p_values = 0.5, 0.5"),
+        ("n_experiments = 2", "n_experiments = 2\nmodes = gp, exact, gp"),
+    ):
+        cfg = ini(tmp_path, TINY_SCENARIO.replace(old, new), name="repeated.ini")
+        assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "p_values repeats an entry" in err and "modes repeats an entry" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import, and the package needs none of it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import feedopt.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Demand-response study: instance generation, profile switching, the suite."""
 
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +39,10 @@ def test_config_validation():
         ScenarioConfig(p_values=())
     with pytest.raises(ValueError, match="at least one mode"):
         ScenarioConfig(modes=())
+    with pytest.raises(ValueError, match="p_values repeats an entry: 0.5, 0.5"):
+        ScenarioConfig(p_values=(0.5, 0.5))
+    with pytest.raises(ValueError, match="modes repeats an entry: gp, exact, gp"):
+        ScenarioConfig(modes=("gp", "exact", "gp"))
 
 
 def test_build_scenario_is_deterministic_in_seed():
@@ -153,7 +156,7 @@ def test_run_experiment_pairs_modes_and_validates():
     # same experiment index, same main stream: identical start and pattern
     np.testing.assert_array_equal(exact.x[0], gp.x[0])
     np.testing.assert_array_equal(exact.v, gp.v)
-    assert exact.n_steps == cfg.horizon
+    assert exact.x.shape[0] == cfg.horizon + 1
     with pytest.raises(ValueError, match="mode"):
         run_one(prob, cfg, 1.0, "nn", 0)
 
@@ -188,13 +191,15 @@ def test_batched_gp_runs_are_their_own_runs():
     cfg = replace(TINY, gp_max_obs=3)
     prob = scenario.build_scenario(cfg)
     runs = [(m, p, e) for m in ("exact", "gp") for p in cfg.p_values for e in range(cfg.n_experiments)]
-    # mode-major (the learned runs are one block of rows) and interleaved
-    for order in (runs, runs[::2] + runs[1::2]):
-        batch = dict(zip(order, scenario.run_experiments(prob, cfg, order)))
-        for (mode, p, e), traj in batch.items():
-            alone = run_one(prob, cfg, p, mode, e)
-            for name in ("x", "v", "d", "e_norm"):
-                np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+    # mode-major: the learned runs are one block of rows
+    batch = dict(zip(runs, scenario.run_experiments(prob, cfg, runs)))
+    for (mode, p, e), traj in batch.items():
+        alone = run_one(prob, cfg, p, mode, e)
+        for name in ("x", "v", "d", "e_norm"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+    # interleaved, the learned runs are no block, and the batch is refused
+    with pytest.raises(ValueError, match="one block of consecutive runs"):
+        scenario.run_experiments(prob, cfg, runs[::2] + runs[1::2])
     # eps is switched off, so an exact run's error is xi alone, while a gp
     # run's error carries the learner's deviation from the true gradient
     assert cfg.eps_scale == 0
@@ -250,26 +255,6 @@ def test_plateau_and_csv(tmp_path):
     assert len(lines) == 1 + len(cfg.p_values) * len(cfg.modes) * cfg.horizon
     first = lines[1].split(",")
     assert first[:3] == ["0.5", "exact", "1"]
-
-
-def test_summary_csv_matches_a_csv_writer_reference(tmp_path):
-    vals = np.array([0.0, -0.0, 1e-300, 1e-5, 1.5e16, np.inf, np.nan, 1.0 / 3.0, -2.5e-7])
-    res = scenario.ExperimentResult(p_values=(0.4, 1.0), modes=("exact", "gp"), horizon=vals.size)
-    for i, key in enumerate((p, m) for p in res.p_values for m in res.modes):
-        res.mean_d[key] = np.roll(vals, i)
-        res.std_d[key] = np.roll(vals[::-1], i)
-    res.to_csv(tmp_path / "summary.csv")
-    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "mode", "t", "mean_d", "std_d"])
-        for p in res.p_values:
-            for mode in res.modes:
-                for i in range(res.horizon):
-                    mean, std = res.mean_d[(p, mode)][i], res.std_d[(p, mode)][i]
-                    writer.writerow(
-                        [format(p, ".15g"), mode, i + 1, format(mean, ".15g"), format(std, ".15g")]
-                    )
-    assert (tmp_path / "summary.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_scaled_down_keeps_proportions():

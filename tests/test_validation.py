@@ -117,6 +117,17 @@ def test_report_summary_and_csv(tmp_path):
     assert lines[2].split(",")[1] == "0"
 
 
+def test_binomial_quantile_matches_scipy_stats():
+    from scipy.stats import binom
+
+    ns = np.geomspace(1000, 1234567, 28).astype(int)
+    ns = np.unique(np.concatenate([[1, 2, 10, 100, 10**5, 10**6], ns]))
+    deltas = np.concatenate([np.geomspace(0.001, 0.5, 30), [0.01, 0.1, 0.3]])
+    for n in ns:
+        got = [validation._binom_quantile(int(n), float(d)) for d in deltas]
+        np.testing.assert_array_equal(got, binom.ppf(0.99, n, deltas), err_msg=f"n={n}")
+
+
 def test_report_extend_merges_checks():
     a = ValidationReport([ValidationCheck("x", True, 0, 1, 10, 0, 1)])
     b = ValidationReport([ValidationCheck("y", True, 0, 1, 10, 0, 1)])

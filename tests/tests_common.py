@@ -5,7 +5,7 @@ import numpy as np
 from feedopt import algorithm, problem, subweibull
 
 
-def static_instance(n_t=101, silent=False, p=0.7, seed=0):
+def static_instance(n_t=101, silent=False, p=0.7):
     """Fixed 3-input, 2-output quadratic tracking instance.
 
     Static schedules (phi = 0), known curvature, step size 1/L.  With
@@ -34,7 +34,7 @@ def static_instance(n_t=101, silent=False, p=0.7, seed=0):
         noise = subweibull.gaussian(0.02)
     cfg = algorithm.AlgoConfig(
         alpha=1.0 / float(L.max()), p=p,
-        eps_sampler=eps, xi_sampler=xi, meas_noise=noise, seed=seed,
+        eps_sampler=eps, xi_sampler=xi, meas_noise=noise,
     )
     return prob, cfg
 

@@ -31,10 +31,7 @@ def main() -> None:
     exp_curve = bounds.expectation_bound(inputs)
 
     delta = 0.1
-    hp_inputs = bounds.bound_inputs_from_problem(
-        prob, cfg, n_steps, delta=delta, seed=args.seed
-    )
-    hp_curve = bounds.hp_bound_trajectory(hp_inputs)
+    hp_curve = bounds.hp_bound_trajectory(inputs, delta)
 
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(args.trials)

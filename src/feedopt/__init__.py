@@ -9,7 +9,8 @@ matching analysis tools:
 * ``subweibull``  -- tail-class certificates for the noise and the algebra
   that composes them,
 * ``problem``     -- time-varying quadratic tracking problems over a linear
-  plant, with exact curvature constants and an optimizer oracle,
+  plant, with exact curvature constants, the contraction rates that hold
+  the step-size condition, and an optimizer oracle,
 * ``algorithm``   -- the online update itself: one kernel, ``simulate``,
   advances a batch of runs, and a lone run is its batch of one,
 * ``bounds``      -- evaluators for the expectation and high-probability

@@ -47,7 +47,7 @@ import numpy as np
 from ._table import write_csv
 from .subweibull import ErrorSampler
 
-__all__ = ["AlgoConfig", "Trajectory", "check_step_size", "simulate", "fan_out"]
+__all__ = ["AlgoConfig", "Trajectory", "simulate", "fan_out"]
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,6 @@ def _rowsum(P):
     return total
 
 
-def check_step_size(prob, alpha: float, n_steps: int) -> None:
-    """Raise ``ValueError`` unless ``alpha < 2/L`` over steps ``1 .. n_steps``."""
-    _, curv_l = prob.curvature_all()
-    l_sup = float(curv_l[1 : n_steps + 1].max())
-    if not alpha < 2.0 / l_sup:
-        raise ValueError(
-            f"step size {alpha} violates the contraction condition "
-            f"alpha < 2/L = {2.0 / l_sup:.6g} for this instance"
-        )
-
-
 def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned=None, after_step=None):
     """Advance ``R = len(rngs)`` independent runs together for ``n_steps`` steps.
 
@@ -137,7 +126,7 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
         raise ValueError(
             f"step count must lie in [1, {prob.n_steps}] for this schedule, got {n_steps}"
         )
-    check_step_size(prob, cfg.alpha, n_steps)
+    prob.contraction_rates(cfg.alpha, n_steps)  # raises unless alpha < 2/L
     n_runs, m, n_out = len(rngs), prob.n_inputs, prob.n_outputs
     if x0 is None:
         x0 = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])

@@ -1,11 +1,10 @@
 """Tracking-error envelopes for the intermittent inexact-gradient update.
 
 With per-step curvature ``(mu_t, L_t)`` the noise-free gradient map
-contracts at rate
-
-    zeta_t = max(|1 - alpha*mu_t|, |1 - alpha*L_t|) < 1   iff 0 < alpha < 2/L_t,
-
-and averaging over the Bernoulli availability gives the effective rate
+contracts at the rate ``zeta_t`` of
+:meth:`feedopt.problem.TimeVaryingProblem.contraction_rates`, which is below
+1 iff ``0 < alpha < 2/L_t``, and averaging over the Bernoulli availability
+gives the effective rate
 
     rho_t = 1 - p + p*zeta_t.
 
@@ -23,23 +22,24 @@ evaluated here by the equivalent forward recurrences
 ``P_t = rho_t (P_{t-1} + phi_{t-1})`` and
 ``R_t = rho_t R_{t-1} + alpha p E_t`` (transients in log space).
 
-High-probability envelope: when the per-entry errors carry sub-Weibull
-certificates with exponents ``theta_eps, theta_xi`` and the error norm the
-per-step certificate scale ``nu_e_t``, then with probability ``1 - delta``
+High-probability envelope: when the gradient-error norm carries the
+sub-Weibull certificate ``(theta_e, nu_e_t)`` at step ``t``, then with
+probability ``1 - delta``
 
     d_t <= log(2/delta)**theta_x (2e/theta_x)**theta_x
            * ( eta(t) d_0 + (1 - zeta^t)/(1 - zeta)
                * sup_i { alpha nu_e_i + phi_i / p } ),
-    theta_x = max(1, theta_eps, theta_xi),
+    theta_x = max(1, theta_e),
     eta(t) = sup_{real k >= 1} (1 - p + zeta^k p)^{t/k} / sqrt(k),
 
-with ``zeta`` the running supremum of the realized rates.  The fractional
-moment ``(1 - p + zeta^k p)^{t/k}`` is exactly the k-th moment norm of
-``zeta^Omega_t`` for a Binomial(t, p) count of updates.  :func:`log_eta`
-evaluates ``ln eta(t)`` for a whole curve at once: the maximiser over real
-``k`` lies in the proven bracket ``[1, max(1, 2t ln(1/(1-p)))]``, where it
-is either ``k = 1`` or the one interior local maximum, found by a monotone
-Newton iteration in log space.
+with ``zeta`` the running supremum of the realized rates and ``theta_e``
+the larger of the eps and xi exponents (``subweibull.vector_norm_class``).
+The fractional moment ``(1 - p + zeta^k p)^{t/k}`` is exactly the k-th
+moment norm of ``zeta^Omega_t`` for a Binomial(t, p) count of updates.
+:func:`log_eta` evaluates ``ln eta(t)`` for a whole curve at once: the
+maximiser over real ``k`` lies in the proven bracket
+``[1, max(1, 2t ln(1/(1-p)))]``, where it is either ``k = 1`` or the one
+interior local maximum, found by a monotone Newton iteration in log space.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class BoundInputs:
 
     Arrays are indexed by time: ``zeta_t[t]`` and ``e_mean[t]`` for
     ``t = 0 .. T`` (index 0 is carried for alignment; updates start at 1),
-    ``phi[i] = ||x*_i - x*_{i+1}||`` for ``i = 0 .. T-1``.  ``nu_e[t]`` is
-    the certificate scale of the error norm at step ``t`` and ``e_mean[t]``
-    its mean (typically inflated by Monte Carlo error when estimated).
+    ``phi[i] = ||x*_i - x*_{i+1}||`` for ``i = 0 .. T-1``.  The error norm
+    at step ``t`` has the certificate ``(theta_e, nu_e[t])`` and the mean
+    ``e_mean[t]`` (typically inflated by Monte Carlo error when estimated).
     """
 
     alpha: float
@@ -83,10 +83,8 @@ class BoundInputs:
     phi: np.ndarray
     e_mean: np.ndarray
     nu_e: np.ndarray
-    theta_eps: float
-    theta_xi: float
+    theta_e: float
     d0: float
-    delta: float | None = None
 
     def __post_init__(self):
         self.zeta_t = np.asarray(self.zeta_t, dtype=float)
@@ -110,10 +108,8 @@ class BoundInputs:
             raise ValueError("phi, e_mean and nu_e must be nonnegative")
         if not self.d0 >= 0:
             raise ValueError(f"initial distance must be nonnegative, got {self.d0}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.theta_eps > 0 or not self.theta_xi > 0:
-            raise ValueError("tail exponents must be positive")
+        if not self.theta_e > 0:
+            raise ValueError(f"tail exponent must be positive, got {self.theta_e}")
 
     @property
     def horizon(self) -> int:
@@ -300,8 +296,8 @@ def binomial_moment(zeta_val: float, p: float, t: int, k: float) -> float:
     return float((1.0 - p + p * zeta_val**k) ** (t / k))
 
 
-def hp_bound_trajectory(inputs: BoundInputs) -> BoundCurve:
-    """High-probability envelope at level ``1 - inputs.delta``.
+def hp_bound_trajectory(inputs: BoundInputs, delta: float) -> BoundCurve:
+    """High-probability envelope at level ``1 - delta``.
 
     ``value[t]`` uses the joint supremum ``sup_i {alpha nu_e_i + phi_i/p}``
     from the statement; the reported ``path_term`` and ``error_term`` relax
@@ -311,11 +307,11 @@ def hp_bound_trajectory(inputs: BoundInputs) -> BoundCurve:
     ``eta(t)`` is the supremum over real ``k >= 1`` (:func:`log_eta`), with
     ``zeta`` the running supremum of the rates up to ``t``.
     """
-    if inputs.delta is None:
-        raise ValueError("hp envelope needs inputs.delta set")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     T = inputs.horizon
-    theta_x = max(1.0, inputs.theta_eps, inputs.theta_xi)
-    pref = math.log(2.0 / inputs.delta) ** theta_x * (2.0 * math.e / theta_x) ** theta_x
+    theta_x = max(1.0, inputs.theta_e)
+    pref = math.log(2.0 / delta) ** theta_x * (2.0 * math.e / theta_x) ** theta_x
 
     phi_pad = np.concatenate((inputs.phi, [0.0]))
     joint = inputs.alpha * inputs.nu_e + phi_pad / inputs.p
@@ -379,27 +375,21 @@ def effective_tracking_error_class(
     return xi_class.add(noise_class.scale(worst_row))
 
 
-def bound_inputs_from_problem(prob, cfg, n_steps=None, delta=None, seed=0) -> BoundInputs:
+def bound_inputs_from_problem(prob, cfg, n_steps=None, seed=0) -> BoundInputs:
     """Assemble :class:`BoundInputs` for an algorithm config on a problem.
 
-    Curvature, optimum path and ``d0`` (from the step-0 box midpoint, where
-    runs start by default) come from the problem's exact oracles.  The
-    samplers are stationary, so ``E[||e||]`` is estimated once from 10^5
-    Monte Carlo draws and inflated by three standard errors to keep the
-    expectation envelope an upper bound; the certificate scale ``nu_e``
-    comes from the error-norm composition rule with measurement noise
-    folded into the tracking-error entries through ``beta G^T``.
+    The rates (which raise unless ``alpha < 2/L``), optimum path and ``d0``
+    (from the step-0 box midpoint, where runs start by default) come from
+    the problem's exact oracles.  The samplers are stationary, so
+    ``E[||e||]`` is estimated once from 10^5 Monte Carlo draws and inflated
+    by three standard errors to keep the expectation envelope an upper
+    bound; the certificate ``(theta_e, nu_e)`` comes from the error-norm
+    composition rule with measurement noise folded into the tracking-error
+    entries through ``beta G^T``.
     """
-    if n_steps is None:
-        n_steps = prob.n_steps
-    n_steps = int(n_steps)
+    n_steps = prob.n_steps if n_steps is None else int(n_steps)
     if not 1 <= n_steps <= prob.n_steps:
         raise ValueError(f"horizon must lie in [1, {prob.n_steps}], got {n_steps}")
-    mu, L = prob.curvature_all()
-    zeta_arr = np.maximum(
-        np.abs(1.0 - cfg.alpha * mu[: n_steps + 1]),
-        np.abs(1.0 - cfg.alpha * L[: n_steps + 1]),
-    )
     mid = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
     d0 = float(np.linalg.norm(mid - prob.optimal_points()[0]))
 
@@ -416,12 +406,10 @@ def bound_inputs_from_problem(prob, cfg, n_steps=None, delta=None, seed=0) -> Bo
     return BoundInputs(
         alpha=cfg.alpha,
         p=cfg.p,
-        zeta_t=zeta_arr,
+        zeta_t=prob.contraction_rates(cfg.alpha, n_steps),
         phi=prob.path_lengths()[:n_steps],
         e_mean=np.full(n_steps + 1, e_hat + 3.0 * e_se),
         nu_e=np.full(n_steps + 1, norm_class.nu),
-        theta_eps=cfg.eps_sampler.declared.theta,
-        theta_xi=xi_eff.theta,
+        theta_e=norm_class.theta,
         d0=d0,
-        delta=delta,
     )

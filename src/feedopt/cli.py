@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import algorithm, bounds, scenario, validation
+from . import bounds, scenario, validation
 from ._table import write_csv
 from .config import (
     ConfigError,
@@ -127,7 +127,7 @@ def _validation_setup(scen, val):
         acfg = replace(base, alpha=val.alpha if val.alpha is not None else scen.alpha)
         n_steps = min(val.n_steps, scen.horizon)
     try:
-        algorithm.check_step_size(prob, acfg.alpha, n_steps)
+        prob.contraction_rates(acfg.alpha, n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return prob, acfg, n_steps
@@ -247,7 +247,7 @@ def _cmd_bound_curve(args) -> int:
             os.path.join(args.out, f"bound_asymptotic_p{ptag}.csv")
         )
         for d in val.deltas:
-            bounds.hp_bound_trajectory(replace(inputs, delta=d)).to_csv(
+            bounds.hp_bound_trajectory(inputs, d).to_csv(
                 os.path.join(args.out, f"bound_hp_p{ptag}_delta{format(d, 'g')}.csv")
             )
     print(f"wrote {len(names)} files to {args.out}")

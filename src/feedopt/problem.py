@@ -176,6 +176,20 @@ class TimeVaryingProblem:
             self._curvature = (mu, L)
         return self._curvature
 
+    def contraction_rates(self, alpha: float, n_steps: int) -> np.ndarray:
+        """Rates ``zeta_t = max(|1 - alpha mu_t|, |1 - alpha L_t|)`` for
+        ``t = 0 .. n_steps``; raises ``ValueError`` unless ``alpha < 2/L_t``
+        over the update steps ``1 .. n_steps``, which makes every rate below 1."""
+        mu, L = self.curvature_all()
+        l_sup = float(L[1 : n_steps + 1].max())
+        if not alpha < 2.0 / l_sup:
+            raise ValueError(
+                f"step size {alpha} violates the contraction condition "
+                f"alpha < 2/L = {2.0 / l_sup:.6g} for this instance"
+            )
+        head = slice(0, n_steps + 1)
+        return np.maximum(np.abs(1.0 - alpha * mu[head]), np.abs(1.0 - alpha * L[head]))
+
     # -- optimizer oracle --------------------------------------------------------
 
     def optimal_points(self) -> np.ndarray:

@@ -126,25 +126,18 @@ class ScenarioConfig:
             raise ValueError("the observation window must keep at least 2 points")
         if not self.beta > 0:
             raise ValueError(f"tracking weight beta must be positive, got {self.beta}")
-        for chan, kind, scale in (
-            ("eps", self.eps_kind, self.eps_scale),
-            ("xi", self.xi_kind, self.xi_scale),
-            ("meas", self.meas_kind, self.meas_scale),
-        ):
-            if kind not in ("gaussian", "bounded-uniform", "weibull-tail"):
-                raise ValueError(f"unknown sampler kind {kind!r} for {chan}")
-            if scale < 0:
-                raise ValueError(f"{chan} noise scale must be nonnegative, got {scale}")
+        for chan in ("eps", "xi", "meas"):
+            try:
+                self.sampler(chan)
+            except ValueError as exc:
+                raise ValueError(f"{chan} noise: {exc}") from exc
+        # explicit GP values meet the learner's own rules here, not mid-run
+        gp = [1.0 if v is None else v for v in (self.gp_sigma_f2, self.gp_ell, self.gp_noise_var)]
+        gplearn.GPPosterior(gplearn.SquaredExponential(gp[0], gp[1]), gp[2])
 
-
-def _sampler(kind: str, scale: float, theta: float) -> subweibull.ErrorSampler:
-    if kind == "gaussian":
-        return subweibull.gaussian(scale)
-    if kind == "bounded-uniform":
-        return subweibull.bounded_uniform(scale)
-    if kind == "weibull-tail":
-        return subweibull.weibull_tail(theta, scale)
-    raise ValueError(f"unknown sampler kind {kind!r}")
+    def sampler(self, chan: str) -> subweibull.ErrorSampler:
+        """The noise sampler of channel ``eps``, ``xi`` or ``meas``."""
+        return subweibull.sampler(*(getattr(self, f"{chan}_{key}") for key in ("kind", "scale", "theta")))
 
 
 def algo_config(cfg: ScenarioConfig, p: float) -> algorithm.AlgoConfig:
@@ -152,9 +145,9 @@ def algo_config(cfg: ScenarioConfig, p: float) -> algorithm.AlgoConfig:
     return algorithm.AlgoConfig(
         alpha=cfg.alpha,
         p=p,
-        eps_sampler=_sampler(cfg.eps_kind, cfg.eps_scale, cfg.eps_theta),
-        xi_sampler=_sampler(cfg.xi_kind, cfg.xi_scale, cfg.xi_theta),
-        meas_noise=_sampler(cfg.meas_kind, cfg.meas_scale, cfg.meas_theta),
+        eps_sampler=cfg.sampler("eps"),
+        xi_sampler=cfg.sampler("xi"),
+        meas_noise=cfg.sampler("meas"),
     )
 
 

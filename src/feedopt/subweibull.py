@@ -29,6 +29,7 @@ from scipy.special import gammaln
 __all__ = [
     "SubWeibull",
     "ErrorSampler",
+    "sampler",
     "gaussian",
     "bounded_uniform",
     "weibull_tail",
@@ -158,14 +159,13 @@ class ErrorSampler:
     """A concrete noise distribution together with its declared certificate.
 
     Use the factory functions :func:`gaussian`, :func:`bounded_uniform`,
-    :func:`weibull_tail` and :func:`zero`; they pick a ``declared``
-    certificate that is provably valid for the distribution (and tight for
-    the Weibull family, whose moments are exact Gamma values).
+    :func:`weibull_tail` and :func:`zero`, or :func:`sampler` by kind name;
+    they pick a ``declared`` certificate that is provably valid for the
+    distribution (and tight for the Weibull family, of shape ``1/theta``).
     """
 
     kind: str
     scale: float
-    theta: float
     declared: SubWeibull
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -177,10 +177,22 @@ class ErrorSampler:
         if self.kind == _UNIFORM:
             return self.scale * rng.uniform(-1.0, 1.0, n)
         if self.kind == _WEIBULL:
-            magnitude = self.scale * rng.weibull(1.0 / self.theta, n)
+            magnitude = self.scale * rng.weibull(1.0 / self.declared.theta, n)
             sign = rng.integers(0, 2, n) * 2 - 1
             return sign * magnitude
         raise ValueError(f"unknown sampler kind {self.kind!r}")
+
+
+def sampler(kind: str, scale: float, theta: float) -> ErrorSampler:
+    """The sampler of kind ``gaussian``, ``bounded-uniform`` or
+    ``weibull-tail`` at ``scale``; only the Weibull kind reads ``theta``."""
+    if kind == _GAUSSIAN:
+        return gaussian(scale)
+    if kind == _UNIFORM:
+        return bounded_uniform(scale)
+    if kind == _WEIBULL:
+        return weibull_tail(theta, scale)
+    raise ValueError(f"unknown sampler kind {kind!r}")
 
 
 def gaussian(scale: float) -> ErrorSampler:
@@ -191,13 +203,13 @@ def gaussian(scale: float) -> ErrorSampler:
     certificate.
     """
     _check_scale(scale)
-    return ErrorSampler(_GAUSSIAN, float(scale), 0.5, SubWeibull(0.5, float(scale)))
+    return ErrorSampler(_GAUSSIAN, float(scale), SubWeibull(0.5, float(scale)))
 
 
 def bounded_uniform(scale: float) -> ErrorSampler:
     """Uniform noise on ``[-scale, scale]``; bounded, hence ``(1/2, scale)``."""
     _check_scale(scale)
-    return ErrorSampler(_UNIFORM, float(scale), 0.5, SubWeibull(0.5, float(scale)))
+    return ErrorSampler(_UNIFORM, float(scale), SubWeibull(0.5, float(scale)))
 
 
 def weibull_tail(theta: float, scale: float) -> ErrorSampler:
@@ -223,9 +235,7 @@ def weibull_tail(theta: float, scale: float) -> ErrorSampler:
         raise ValueError(f"tail exponent must be positive, got theta={theta}")
     _check_scale(scale)
     unit_nu = float(np.exp(gammaln(1.0 + float(theta))))
-    return ErrorSampler(
-        _WEIBULL, float(scale), float(theta), SubWeibull(float(theta), float(scale) * unit_nu),
-    )
+    return ErrorSampler(_WEIBULL, float(scale), SubWeibull(float(theta), float(scale) * unit_nu))
 
 
 def zero() -> ErrorSampler:

@@ -20,7 +20,7 @@ worker count used to produce them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -169,7 +169,7 @@ def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     report = ValidationReport()
     for delta in deltas:
-        curve = bounds.hp_bound_trajectory(replace(inputs, delta=delta))
+        curve = bounds.hp_bound_trajectory(inputs, delta)
         allowance = _binom_quantile(n_trials, delta) / n_trials
         for t in check_times:
             freq = float(np.mean(d[:, t] > curve.value[t]))

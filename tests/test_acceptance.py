@@ -7,7 +7,6 @@ module and shared between the checks that use the same instance.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,11 +81,9 @@ def test_criterion_2_hp_envelope_exceedance(synthetic_ensemble):
     n = d.shape[0]
     worst = 0.0
     lines = []
+    inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=500, seed=SEED)
     for delta in (0.3, 0.1):
-        inputs = bounds.bound_inputs_from_problem(
-            prob, cfg, n_steps=500, delta=delta, seed=SEED
-        )
-        curve = bounds.hp_bound_trajectory(inputs)
+        curve = bounds.hp_bound_trajectory(inputs, delta)
         for t in (50, 250, 500):
             freq = float(np.mean(d[:, t] > curve.value[t]))
             worst = max(worst, freq / delta)

@@ -18,7 +18,7 @@ from feedopt import algorithm, bounds, cli, gplearn, scenario, subweibull, valid
 from feedopt.bounds import BoundInputs
 
 
-def make_inputs(T=12, alpha=0.4, p=0.7, delta=None, seed=0):
+def make_inputs(T=12, alpha=0.4, p=0.7, seed=0):
     rng = np.random.default_rng(seed)
     zeta_t = np.concatenate(([0.9], rng.uniform(0.55, 0.92, T)))
     phi = rng.uniform(0.0, 0.3, T)
@@ -26,7 +26,7 @@ def make_inputs(T=12, alpha=0.4, p=0.7, delta=None, seed=0):
     nu_e = rng.uniform(0.5, 2.0, T + 1)
     return BoundInputs(
         alpha=alpha, p=p, zeta_t=zeta_t, phi=phi, e_mean=e_mean, nu_e=nu_e,
-        theta_eps=0.5, theta_xi=1.0, d0=3.0, delta=delta,
+        theta_e=1.0, d0=3.0,
     )
 
 
@@ -49,6 +49,10 @@ def test_zeta_values():
     ):
         inputs = bounds.bound_inputs_from_problem(prob, replace(cfg, alpha=alpha), n_steps=10)
         np.testing.assert_allclose(inputs.zeta_t, expected, rtol=1e-12)
+        np.testing.assert_array_equal(inputs.zeta_t, prob.contraction_rates(alpha, 10))
+    # alpha = 2/L is the first step size past the contraction condition
+    with pytest.raises(ValueError, match="violates the contraction condition"):
+        prob.contraction_rates(2.0 / L, 10)
 
 
 def test_binomial_moment_frozen_and_exact_at_p1():
@@ -180,21 +184,23 @@ def test_bound_inputs_validation():
     assert ok.horizon == 12
     np.testing.assert_allclose(ok.rho, 1 - ok.p + ok.p * ok.zeta_t)
     with pytest.raises(ValueError, match="at least one step"):
-        BoundInputs(0.4, 0.7, ok.zeta_t[:1], ok.phi[:0], ok.e_mean[:1], ok.nu_e[:1], 0.5, 1.0, 1.0)
+        BoundInputs(0.4, 0.7, ok.zeta_t[:1], ok.phi[:0], ok.e_mean[:1], ok.nu_e[:1], 1.0, 1.0)
     with pytest.raises(ValueError, match="one entry fewer"):
-        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi[:-1], ok.e_mean, ok.nu_e, 0.5, 1.0, 1.0)
+        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi[:-1], ok.e_mean, ok.nu_e, 1.0, 1.0)
     with pytest.raises(ValueError, match="align"):
-        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi, ok.e_mean[:-1], ok.nu_e[:-1], 0.5, 1.0, 1.0)
+        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi, ok.e_mean[:-1], ok.nu_e[:-1], 1.0, 1.0)
     bad_zeta = ok.zeta_t.copy()
     bad_zeta[3] = 1.0
     with pytest.raises(ValueError, match="contraction factors"):
-        BoundInputs(0.4, 0.7, bad_zeta, ok.phi, ok.e_mean, ok.nu_e, 0.5, 1.0, 1.0)
+        BoundInputs(0.4, 0.7, bad_zeta, ok.phi, ok.e_mean, ok.nu_e, 1.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        BoundInputs(0.4, 0.7, ok.zeta_t, -ok.phi, ok.e_mean, ok.nu_e, 0.5, 1.0, 1.0)
+        BoundInputs(0.4, 0.7, ok.zeta_t, -ok.phi, ok.e_mean, ok.nu_e, 1.0, 1.0)
     with pytest.raises(ValueError, match="initial distance"):
-        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi, ok.e_mean, ok.nu_e, 0.5, 1.0, -1.0)
+        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi, ok.e_mean, ok.nu_e, 1.0, -1.0)
+    with pytest.raises(ValueError, match="tail exponent"):
+        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi, ok.e_mean, ok.nu_e, 0.0, 1.0)
     with pytest.raises(ValueError, match="delta"):
-        BoundInputs(0.4, 0.7, ok.zeta_t, ok.phi, ok.e_mean, ok.nu_e, 0.5, 1.0, 1.0, delta=0.0)
+        bounds.hp_bound_trajectory(ok, 0.0)
 
 
 # -- expectation envelope --------------------------------------------------------
@@ -257,9 +263,9 @@ def test_expectation_bound_dominates_a_simulated_static_mean():
 # -- high-probability envelope -----------------------------------------------------
 
 
-def brute_force_hp(inputs, T):
-    theta_x = max(1.0, inputs.theta_eps, inputs.theta_xi)
-    pref = math.log(2.0 / inputs.delta) ** theta_x * (2 * math.e / theta_x) ** theta_x
+def brute_force_hp(inputs, T, delta):
+    theta_x = max(1.0, inputs.theta_e)
+    pref = math.log(2.0 / delta) ** theta_x * (2 * math.e / theta_x) ** theta_x
     phi_pad = np.concatenate((inputs.phi[:T], [0.0]))
     out = np.empty(T + 1)
     out[0] = pref * inputs.d0
@@ -275,20 +281,23 @@ def brute_force_hp(inputs, T):
 
 
 def test_hp_bound_matches_literal_construction():
-    inputs = make_inputs(delta=0.1)
-    curve = bounds.hp_bound_trajectory(inputs)
-    np.testing.assert_allclose(curve.value, brute_force_hp(inputs, 12), rtol=1e-12)
+    inputs = make_inputs()
+    curve = bounds.hp_bound_trajectory(inputs, 0.1)
+    np.testing.assert_allclose(curve.value, brute_force_hp(inputs, 12, 0.1), rtol=1e-12)
 
 
 def test_hp_bound_grows_as_delta_shrinks():
-    tight = bounds.hp_bound_trajectory(make_inputs(delta=0.3))
-    loose = bounds.hp_bound_trajectory(make_inputs(delta=0.01))
+    tight = bounds.hp_bound_trajectory(make_inputs(), 0.3)
+    loose = bounds.hp_bound_trajectory(make_inputs(), 0.01)
     assert np.all(loose.value[1:] > tight.value[1:])
 
 
 def test_hp_bound_needs_delta():
-    with pytest.raises(ValueError, match="delta"):
+    with pytest.raises(TypeError):
         bounds.hp_bound_trajectory(make_inputs())
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="delta"):
+            bounds.hp_bound_trajectory(make_inputs(), delta)
 
 
 @st.composite
@@ -305,8 +314,7 @@ def bound_inputs(draw):
         phi=rng.uniform(0.0, draw(st.floats(0.0, 5.0)), T),
         e_mean=rng.uniform(0.0, draw(st.floats(0.0, 2.0)), T + 1),
         nu_e=rng.uniform(0.0, draw(st.floats(0.0, 3.0)), T + 1),
-        theta_eps=draw(st.floats(0.1, 3.0)),
-        theta_xi=draw(st.floats(0.1, 3.0)),
+        theta_e=draw(st.floats(0.1, 3.0)),
         d0=draw(st.floats(0.0, 50.0)),
     )
 
@@ -323,7 +331,7 @@ def test_expectation_bound_never_exceeds_its_asymptotic_relaxation(inputs):
 @given(inputs=bound_inputs(), deltas=st.lists(st.floats(1e-6, 0.999), min_size=2, max_size=4))
 def test_hp_bound_is_nonincreasing_in_delta(inputs, deltas):
     curves = [
-        bounds.hp_bound_trajectory(replace(inputs, delta=d)).value for d in sorted(deltas)
+        bounds.hp_bound_trajectory(inputs, d).value for d in sorted(deltas)
     ]
     for smaller, larger in zip(curves, curves[1:]):
         assert np.all(larger <= smaller)
@@ -385,13 +393,12 @@ def test_bound_inputs_from_problem_shapes_and_fields():
     from tests_common import static_instance
 
     prob, cfg = static_instance()
-    inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=40, delta=0.2, seed=3)
+    inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=40, seed=3)
     assert inputs.horizon == 40
-    assert inputs.delta == 0.2
     assert inputs.alpha == cfg.alpha and inputs.p == cfg.p
     assert inputs.phi.shape == (40,)
     assert np.all(inputs.nu_e == inputs.nu_e[0])  # stationary noise model
-    assert inputs.theta_eps == 0.5
+    assert inputs.theta_e == 0.5
     # d0 defaults to the distance from the step-0 box midpoint
     mid = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
     d0 = float(np.linalg.norm(mid - prob.optimal_points()[0]))

@@ -61,15 +61,25 @@ def read_outputs(out_dir):
     }
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_print_config(capsys):
     assert cli.main(["print-config"]) == 0
-    assert capsys.readouterr().out == config.default_ini()
+    out = capsys.readouterr().out
+    assert out == config.default_ini()
+    # the bundled config is documented as exactly this output
+    assert (ROOT / "configs" / "default.ini").read_text(encoding="utf-8") == out
 
 
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "feedopt.cli", "print-config"],
-        capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout == config.default_ini()
@@ -241,13 +251,33 @@ def test_repeated_entries_exit_one(tmp_path, capsys):
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import, and the package needs none of it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import feedopt.cli, sys; assert 'scipy.stats' not in sys.modules"],
-        env=env, capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bad_tail_exponent_exits_one(tmp_path, capsys):
+    # the sampler's own rule rejects it when the config is loaded, before any output
+    # the two keys end the [algorithm] section
+    cfg = ini(tmp_path, TINY_SCENARIO.replace("[gp]", "xi_kind = weibull-tail\nxi_theta = -1\n\n[gp]"))
+    assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "u")]) == 1
+    assert "error: xi noise: tail exponent must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
+
+
+def test_bad_gp_values_exit_one(tmp_path, capsys):
+    # explicit GP hyperparameters meet the learner's own rules when the config is loaded
+    for key, value, message in (
+        ("sigma_f2", "-1", "signal variance must be positive"),
+        ("ell", "0", "length scale must be positive"),
+        ("noise_var", "-1", "observation noise variance must be nonnegative"),
+    ):
+        cfg = ini(tmp_path, TINY_SCENARIO.replace("eval_period = 5", f"eval_period = 5\n{key} = {value}"))
+        assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "u")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

@@ -186,6 +186,16 @@ def test_sampler_draws_and_errors():
         sw.weibull_tail(0.0, 1.0)
 
 
+def test_sampler_by_kind_name():
+    assert sw.sampler("gaussian", 0.7, -1.0) == sw.gaussian(0.7)  # theta unread
+    assert sw.sampler("bounded-uniform", 1.3, 2.0) == sw.bounded_uniform(1.3)
+    assert sw.sampler("weibull-tail", 0.5, 1.5) == sw.weibull_tail(1.5, 0.5)
+    with pytest.raises(ValueError, match="unknown sampler kind 'cauchy'"):
+        sw.sampler("cauchy", 1.0, 1.0)
+    with pytest.raises(ValueError, match="tail exponent"):
+        sw.sampler("weibull-tail", 1.0, -1.0)
+
+
 def test_sampler_determinism():
     a = sw.gaussian(1.0).sample(np.random.default_rng(11), 64)
     b = sw.gaussian(1.0).sample(np.random.default_rng(11), 64)

@@ -128,7 +128,7 @@ def run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=1) -> np.ndarray:
 def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
     """Ensemble mean (plus three standard errors) vs. the expectation envelope
     of ``inputs`` (:class:`bounds.BoundInputs` for ``cfg`` on ``prob``), over
-    its horizon."""
+    steps ``1 .. inputs.horizon``; the row reports the step of least slack."""
     if n_trials < 100:
         raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
     n_steps = inputs.horizon
@@ -137,7 +137,8 @@ def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(n_trials)
     rel = (mean + 3.0 * se) / curve.value
-    worst = int(np.argmax(rel))
+    # the worst step t >= 1; at t = 0 every trial sits at the anchor d0 itself
+    worst = 1 + int(np.argmax(rel[1:]))
     with np.errstate(divide="ignore"):
         loose = np.where(mean[1:] > 0, curve.value[1:] / mean[1:], np.inf)
     check = ValidationCheck(

@@ -264,7 +264,7 @@ def _cmd_gp_demo(args) -> int:
     _echo_config(args.out, scen, val)
     prob = scenario.build_scenario(scen)
     rng = np.random.default_rng(np.random.SeedSequence(scen.seed, spawn_key=(2,)))
-    learner = scenario.seed_cost_learners(prob, scen, [rng])
+    learner = scenario.seed_cost_learners(prob, scen, [rng])[0]  # the step-0 profile
     n_grid = 101
     lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
     grid = np.linspace(lo, up, n_grid, axis=-1)  # one row of queries per coordinate

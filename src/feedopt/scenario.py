@@ -219,27 +219,29 @@ def coordinate_cost(prob: problem.TimeVaryingProblem, m, x, t: int):
     return costs.a[t, m] * x * x + costs.b[t, m] * x + costs.c[t, m]
 
 
-def seed_cost_learners(prob, cfg, rngs) -> gplearn.GPPosterior:
-    """A learner of batch ``(len(rngs), m)`` seeded with noisy evaluations at
+def seed_cost_learners(prob, cfg, rngs) -> list[gplearn.GPPosterior]:
+    """One learner of batch ``(len(rngs), m)`` per preference profile, seeded at
     uniform sites in the step-0 box; each generator draws, coordinate by
-    coordinate, the sites and then their noise."""
+    coordinate, the sites and then their noise.  A profile's values are its own
+    costs (at step 0, then at the first switch step) at those sites plus that noise."""
     lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
     shape = (len(rngs), prob.n_inputs, cfg.gp_seed_obs)
-    sites, values = np.empty(shape), np.empty(shape)
+    sites, noise = np.empty(shape), np.empty(shape)
     for r, rng in enumerate(rngs):
         for m in range(prob.n_inputs):
             sites[r, m] = rng.uniform(lo[m], up[m], cfg.gp_seed_obs)
-            values[r, m] = coordinate_cost(prob, m, sites[r, m], 0)
-            values[r, m] += cfg.obs_noise_sigma * rng.standard_normal(cfg.gp_seed_obs)
+            noise[r, m] = cfg.obs_noise_sigma * rng.standard_normal(cfg.gp_seed_obs)
     ell = cfg.gp_ell if cfg.gp_ell is not None else (up - lo) / 2.0
     noise_var = cfg.gp_noise_var if cfg.gp_noise_var is not None else cfg.obs_noise_sigma**2
-    if cfg.gp_sigma_f2 is not None:
+    learners = []
+    for t in (0, *cfg.switch_steps[:1]):
+        values = coordinate_cost(prob, np.arange(prob.n_inputs)[:, None], sites, t) + noise
         sigma_f2 = cfg.gp_sigma_f2
-    else:
-        # prior variance matched to the observed cost spread, so the
-        # posterior is not shrunk toward zero on costs of large magnitude
-        sigma_f2 = np.maximum(np.var(values, axis=-1), 1.0)
-    return gplearn.GPPosterior(gplearn.SquaredExponential(sigma_f2, ell), noise_var, sites, values)
+        if sigma_f2 is None:  # the observed cost spread, so large costs are not shrunk toward 0
+            sigma_f2 = np.maximum(np.var(values, axis=-1), 1.0)
+        kernel = gplearn.SquaredExponential(sigma_f2, ell)
+        learners.append(gplearn.GPPosterior(kernel, noise_var, sites, values))
+    return learners
 
 
 def active_profile(switch_steps, t: int) -> int:
@@ -265,7 +267,8 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
     Every ``gp`` run has its own GPs, one per coordinate, held in one
     learner of batch ``(R_gp, m)`` over the ``gp`` runs.  The owners signal
     profile changes, so there are two learners, one per profile, each
-    starting from the initial profiling samples.  Evaluations recorded under
+    starting from the initial profiling samples of its own profile's costs
+    (:func:`seed_cost_learners`).  Evaluations recorded under
     one profile never enter the posterior used while the other is active;
     when a profile returns, its accumulated dataset is restored.
     ``input_grad(X, t)`` is the active learner's posterior mean-gradient at
@@ -293,7 +296,7 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
         if block.stop - block.start != len(gp_rows):
             raise ValueError("the gp runs must be one block of consecutive runs")
         rng_obs = [stream(e, 1) for _, _, e in runs[block]]
-        learners = [seed_cost_learners(prob, cfg, rng_obs)] * 2
+        learners = seed_cost_learners(prob, cfg, rng_obs)
 
         def input_grad(X, t):
             return learners[active_profile(cfg.switch_steps, t)].mean_gradient(X)

@@ -132,7 +132,7 @@ def test_algo_config_sampler_mapping():
 def test_seed_cost_learners_defaults():
     cfg = TINY
     prob = scenario.build_scenario(cfg)
-    learner = scenario.seed_cost_learners(prob, cfg, [np.random.default_rng(0)])
+    learner = scenario.seed_cost_learners(prob, cfg, [np.random.default_rng(0)])[0]
     assert learner.batch_shape == (1, prob.n_inputs)
     assert learner.n_obs == cfg.gp_seed_obs
     for m in range(prob.n_inputs):
@@ -143,10 +143,31 @@ def test_seed_cost_learners_defaults():
     fixed = scenario.seed_cost_learners(
         prob, replace(cfg, gp_ell=0.7, gp_sigma_f2=4.0, gp_noise_var=0.3),
         [np.random.default_rng(0)],
-    )
+    )[0]
     assert fixed.kernel.ell == 0.7
     assert fixed.kernel.sigma_f2 == 4.0
     assert fixed.noise_var == 0.3
+
+
+def test_profile_two_seed_values_are_profile_two_costs():
+    # each profile's learner holds its own profile's costs, profile two's read
+    # at the first switch step, at the same sites and with the same noise draws
+    cfg = TINY
+    prob = scenario.build_scenario(cfg)
+    one, two = scenario.seed_cost_learners(prob, cfg, [np.random.default_rng(r) for r in (0, 1)])
+    switch = cfg.switch_steps[0]
+    assert active_profile(cfg.switch_steps, switch) == 1
+    assert not np.allclose(prob.costs.a[0], prob.costs.a[switch])
+    lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
+    for r in (0, 1):
+        rng = np.random.default_rng(r)  # sites, then noise, coordinate by coordinate
+        for m in range(prob.n_inputs):
+            sites = rng.uniform(lo[m], up[m], cfg.gp_seed_obs)
+            noise = cfg.obs_noise_sigma * rng.standard_normal(cfg.gp_seed_obs)
+            for learner, t in ((one, 0), (two, switch)):
+                np.testing.assert_array_equal(learner.sites[r, m], sites)
+                cost = scenario.coordinate_cost(prob, m, sites, t)
+                np.testing.assert_array_equal(learner.values[r, m], cost + noise)
 
 
 def test_run_experiment_pairs_modes_and_validates():

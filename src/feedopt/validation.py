@@ -157,8 +157,8 @@ def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_
     """Exceedance frequency of the high-probability envelope at chosen steps.
 
     ``inputs`` are the :class:`bounds.BoundInputs` for ``cfg`` on ``prob``;
-    the envelope reads their certificate scale ``nu_e``, never the estimate
-    ``e_mean``.  For each level ``delta`` the frequency of ``d_t > bound_t``
+    the envelope reads their certificate ``(theta_e, nu_e)``, never the
+    estimate ``e_mean``.  For each level ``delta`` the frequency of ``d_t > bound_t``
     may not exceed the 99% binomial quantile of ``Binomial(n_trials, delta)``.
     """
     if n_trials < 1000:

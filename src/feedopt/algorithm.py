@@ -122,15 +122,9 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     Returns one :class:`Trajectory` per run, in the order of ``rngs``.
     """
     n_steps = prob.n_steps if n_steps is None else int(n_steps)
-    if not 1 <= n_steps <= prob.n_steps:
-        raise ValueError(
-            f"step count must lie in [1, {prob.n_steps}] for this schedule, got {n_steps}"
-        )
-    prob.contraction_rates(cfg.alpha, n_steps)  # raises unless alpha < 2/L
+    prob.contraction_rates(cfg.alpha, n_steps)  # raises unless 1 <= n_steps <= horizon and alpha < 2/L
     n_runs, m, n_out = len(rngs), prob.n_inputs, prob.n_outputs
-    if x0 is None:
-        x0 = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(prob.boxes.midpoints[0] if x0 is None else x0, dtype=float)
     if x0.shape not in ((m,), (n_runs, m)):
         raise ValueError(f"starting point must have shape ({m},) or ({n_runs}, {m}), got {x0.shape}")
     x0 = np.broadcast_to(x0, (n_runs, m))

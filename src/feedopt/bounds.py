@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_csv
-from .subweibull import SubWeibull, vector_norm_class
+from .subweibull import SubWeibull, error_vectors, vector_norm_class
 
 __all__ = [
     "BoundInputs",
@@ -87,10 +87,8 @@ class BoundInputs:
     d0: float
 
     def __post_init__(self):
-        self.zeta_t = np.asarray(self.zeta_t, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.e_mean = np.asarray(self.e_mean, dtype=float)
-        self.nu_e = np.asarray(self.nu_e, dtype=float)
+        for name in ("zeta_t", "phi", "e_mean", "nu_e"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if not self.alpha > 0:
             raise ValueError(f"step size must be positive, got {self.alpha}")
         if not 0.0 < self.p <= 1.0:
@@ -305,13 +303,11 @@ def hp_bound_trajectory(inputs: BoundInputs, delta: float) -> BoundCurve:
     ``value - transient``.  The drift sequence is padded with a trailing
     zero so the final error scale still enters the supremum at ``t = T``.
     ``eta(t)`` is the supremum over real ``k >= 1`` (:func:`log_eta`), with
-    ``zeta`` the running supremum of the rates up to ``t``.
+    ``zeta`` the running supremum of the rates up to ``t``.  The prefactor is
+    the level :meth:`SubWeibull.hp_bound` of the unit certificate ``(theta_x, 1)``.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    pref = SubWeibull(max(1.0, inputs.theta_e), 1.0).hp_bound(delta)
     T = inputs.horizon
-    theta_x = max(1.0, inputs.theta_e)
-    pref = math.log(2.0 / delta) ** theta_x * (2.0 * math.e / theta_x) ** theta_x
 
     phi_pad = np.concatenate((inputs.phi, [0.0]))
     joint = inputs.alpha * inputs.nu_e + phi_pad / inputs.p
@@ -346,8 +342,7 @@ def expected_error_norm(
         raise ValueError(f"need at least 1e4 samples for a stable estimate, got {n_samples}")
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
-    e = eps_sampler.sample(rng, n_samples * dim).reshape(n_samples, dim)
-    e += xi_sampler.sample(rng, n_samples * dim).reshape(n_samples, dim)
+    e = error_vectors(eps_sampler, xi_sampler, dim, n_samples, rng)
     if noise_sampler is not None and noise_sampler.scale > 0:
         noise_map = np.asarray(noise_map, dtype=float)
         n_out = noise_map.shape[1]
@@ -378,9 +373,9 @@ def effective_tracking_error_class(
 def bound_inputs_from_problem(prob, cfg, n_steps=None, seed=0) -> BoundInputs:
     """Assemble :class:`BoundInputs` for an algorithm config on a problem.
 
-    The rates (which raise unless ``alpha < 2/L``), optimum path and ``d0``
-    (from the step-0 box midpoint, where runs start by default) come from
-    the problem's exact oracles.  The samplers are stationary, so
+    The rates (which check the step count and ``alpha < 2/L``), optimum path
+    and ``d0`` (from the step-0 box midpoint, where runs start by default)
+    come from the problem's exact oracles.  The samplers are stationary, so
     ``E[||e||]`` is estimated once from 10^5 Monte Carlo draws and inflated
     by three standard errors to keep the expectation envelope an upper
     bound; the certificate ``(theta_e, nu_e)`` comes from the error-norm
@@ -388,10 +383,8 @@ def bound_inputs_from_problem(prob, cfg, n_steps=None, seed=0) -> BoundInputs:
     entries through ``beta G^T``.
     """
     n_steps = prob.n_steps if n_steps is None else int(n_steps)
-    if not 1 <= n_steps <= prob.n_steps:
-        raise ValueError(f"horizon must lie in [1, {prob.n_steps}], got {n_steps}")
-    mid = 0.5 * (prob.boxes.lower[0] + prob.boxes.upper[0])
-    d0 = float(np.linalg.norm(mid - prob.optimal_points()[0]))
+    zeta_t = prob.contraction_rates(cfg.alpha, n_steps)
+    d0 = float(np.linalg.norm(prob.boxes.midpoints[0] - prob.optimal_points()[0]))
 
     noise_map = prob.costs.beta * prob.plant.G.T
     m = prob.n_inputs
@@ -406,7 +399,7 @@ def bound_inputs_from_problem(prob, cfg, n_steps=None, seed=0) -> BoundInputs:
     return BoundInputs(
         alpha=cfg.alpha,
         p=cfg.p,
-        zeta_t=prob.contraction_rates(cfg.alpha, n_steps),
+        zeta_t=zeta_t,
         phi=prob.path_lengths()[:n_steps],
         e_mean=np.full(n_steps + 1, e_hat + 3.0 * e_se),
         nu_e=np.full(n_steps + 1, norm_class.nu),

@@ -120,12 +120,11 @@ def _validation_setup(scen, val):
         )
         if val.alpha is not None:
             acfg = replace(acfg, alpha=val.alpha)
-        n_steps = val.n_steps
     else:
         prob = scenario.build_scenario(scen)
         base = scenario.algo_config(scen, val.p)
         acfg = replace(base, alpha=val.alpha if val.alpha is not None else scen.alpha)
-        n_steps = min(val.n_steps, scen.horizon)
+    n_steps = min(val.n_steps, prob.n_steps)  # a scenario's horizon caps the step count
     try:
         prob.contraction_rates(acfg.alpha, n_steps)
     except ValueError as exc:
@@ -276,7 +275,7 @@ def _cmd_gp_demo(args) -> int:
     fd = (learner.posterior_mean(queries + h) - learner.posterior_mean(queries - h))[0] / (2.0 * h)
     coords = np.arange(prob.n_inputs)[:, None]
     true_u = scenario.coordinate_cost(prob, coords, grid, 0)
-    true_du = 2.0 * prob.costs.a[0, coords] * grid + prob.costs.b[0, coords]
+    true_du = prob.u_gradient(grid.T, 0).T
     write_csv(
         os.path.join(args.out, "gp_demo.csv"),
         ["coord", "x", "true_u", "true_du", "gp_mean", "gp_var", "gp_grad"],

@@ -63,6 +63,11 @@ class BoxSchedule:
         if np.any(self.lower > self.upper):
             raise ValueError("box schedule has lower > upper somewhere")
 
+    @property
+    def midpoints(self) -> np.ndarray:
+        """The centre of every step's box, where runs and the oracle start."""
+        return 0.5 * (self.lower + self.upper)
+
 
 @dataclass
 class CostSchedule:
@@ -178,8 +183,11 @@ class TimeVaryingProblem:
 
     def contraction_rates(self, alpha: float, n_steps: int) -> np.ndarray:
         """Rates ``zeta_t = max(|1 - alpha mu_t|, |1 - alpha L_t|)`` for
-        ``t = 0 .. n_steps``; raises ``ValueError`` unless ``alpha < 2/L_t``
-        over the update steps ``1 .. n_steps``, which makes every rate below 1."""
+        ``t = 0 .. n_steps``; raises ``ValueError`` unless ``n_steps`` lies in
+        ``[1, self.n_steps]`` and ``alpha < 2/L_t`` over the update steps
+        ``1 .. n_steps``, which makes every rate below 1."""
+        if not 1 <= n_steps <= self.n_steps:
+            raise ValueError(f"step count must lie in [1, {self.n_steps}] (the horizon), got {n_steps}")
         mu, L = self.curvature_all()
         l_sup = float(L[1 : n_steps + 1].max())
         if not alpha < 2.0 / l_sup:
@@ -209,7 +217,7 @@ class TimeVaryingProblem:
         lo, hi = self.boxes.lower, self.boxes.upper
         yref, a, b, w = self.costs.y_ref, self.costs.a, self.costs.b, self.costs.w
         drive = w @ self.plant.H.T - yref  # (n_t, n_out), constant part of the residual
-        X = 0.5 * (lo + hi)
+        X = self.boxes.midpoints
         step = (1.0 / L)[:, None]
         for _ in range(_ORACLE_MAX_SWEEPS):
             grad = beta * ((X @ G.T + drive) @ G) + 2.0 * a * X + b

@@ -34,7 +34,7 @@ from ._table import write_csv
 __all__ = [
     "ScenarioConfig",
     "ExperimentResult",
-    "active_profile",
+    "profile_schedule",
     "build_scenario",
     "run_experiments",
     "run_suite",
@@ -197,10 +197,8 @@ def build_scenario(cfg: ScenarioConfig) -> problem.TimeVaryingProblem:
     b_one = rng.uniform(*cfg.b_range, m)
     a_two = rng.uniform(*cfg.a_range_two, m)
     b_two = rng.uniform(*cfg.b_range, m)
-    # profiles alternate at every switch step: one, two, one, ...
-    in_second = (np.searchsorted(np.asarray(cfg.switch_steps), t, side="right") % 2).astype(bool)
-    a = np.where(in_second[:, None], a_two[None, :], a_one[None, :])
-    b = np.where(in_second[:, None], b_two[None, :], b_one[None, :])
+    profile = profile_schedule(cfg.switch_steps, cfg.horizon)
+    a, b = np.array([a_one, a_two])[profile], np.array([b_one, b_two])[profile]
     c = np.zeros((n_t, m))
 
     prob = problem.TimeVaryingProblem(
@@ -244,10 +242,10 @@ def seed_cost_learners(prob, cfg, rngs) -> list[gplearn.GPPosterior]:
     return learners
 
 
-def active_profile(switch_steps, t: int) -> int:
-    """Index of the preference profile in force at step ``t`` (profiles
-    alternate at every switch step)."""
-    return int(np.searchsorted(np.asarray(switch_steps), t, side="right") % 2)
+def profile_schedule(switch_steps, horizon: int) -> np.ndarray:
+    """Index of the preference profile in force at each step ``t = 0 .. horizon``:
+    profiles alternate at every switch step (one, two, one, ...)."""
+    return np.searchsorted(np.asarray(switch_steps), np.arange(horizon + 1), side="right") % 2
 
 
 def run_experiments(prob, cfg: ScenarioConfig, runs):
@@ -297,14 +295,15 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
             raise ValueError("the gp runs must be one block of consecutive runs")
         rng_obs = [stream(e, 1) for _, _, e in runs[block]]
         learners = seed_cost_learners(prob, cfg, rng_obs)
+        profile = profile_schedule(cfg.switch_steps, cfg.horizon)
 
         def input_grad(X, t):
-            return learners[active_profile(cfg.switch_steps, t)].mean_gradient(X)
+            return learners[profile[t]].mean_gradient(X)
 
         def observe(t, X):
             if t % cfg.eval_period:
                 return
-            k = active_profile(cfg.switch_steps, t)
+            k = profile[t]
             X = X[block]
             noise = np.array([rng.standard_normal(prob.n_inputs) for rng in rng_obs])
             z = coordinate_cost(prob, slice(None), X, t) + cfg.obs_noise_sigma * noise

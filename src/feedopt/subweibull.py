@@ -35,6 +35,7 @@ __all__ = [
     "weibull_tail",
     "zero",
     "vector_norm_class",
+    "error_vectors",
 ]
 
 
@@ -146,6 +147,14 @@ def vector_norm_class(dim: int, eps_class: SubWeibull, xi_class: SubWeibull) -> 
     return SubWeibull(max(eps_class.theta, xi_class.theta), nu)
 
 
+def error_vectors(eps_sampler, xi_sampler, dim: int, n: int, rng) -> np.ndarray:
+    """``n`` draws of the error ``eps + xi`` in R^dim as ``(n, dim)`` rows, every eps
+    value drawn before any xi value; :func:`vector_norm_class` certifies their norms."""
+    e = eps_sampler.sample(rng, n * dim).reshape(n, dim)
+    e += xi_sampler.sample(rng, n * dim).reshape(n, dim)
+    return e
+
+
 # ---------------------------------------------------------------------------
 # reference samplers
 
@@ -231,9 +240,7 @@ def weibull_tail(theta: float, scale: float) -> ErrorSampler:
     is evaluated as ``exp(lnGamma(1 + theta))``, the log-ratio at ``k = 1``
     exactly; ``math.gamma`` can differ from it in the last bit.
     """
-    if not theta > 0:
-        raise ValueError(f"tail exponent must be positive, got theta={theta}")
-    _check_scale(scale)
+    _check_scale(scale)  # theta meets the certificate's own rule
     unit_nu = float(np.exp(gammaln(1.0 + float(theta))))
     return ErrorSampler(_WEIBULL, float(scale), SubWeibull(float(theta), float(scale) * unit_nu))
 

@@ -354,9 +354,8 @@ def validate_closure_ops(dim=4, n_samples=10**6, seed=0):
     for name, samples, cert in compositions:
         _moment_checks(name, samples, cert, report)
         _tail_checks(name, samples, cert, report)
-    ev = eps_sampler.sample(rng, n_samples * dim).reshape(n_samples, dim)
-    xv = xi_sampler.sample(rng, n_samples * dim).reshape(n_samples, dim)
-    norms = np.linalg.norm(ev + xv, axis=1)
+    e = subweibull.error_vectors(eps_sampler, xi_sampler, dim, n_samples, rng)
+    norms = np.linalg.norm(e, axis=1)
     cert = subweibull.vector_norm_class(dim, ce, cx)
     _moment_checks(f"error-norm(dim={dim})", norms, cert, report)
     _tail_checks(f"error-norm(dim={dim})", norms, cert, report)

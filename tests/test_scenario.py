@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from feedopt import algorithm, gplearn, scenario
-from feedopt.scenario import ScenarioConfig, active_profile
+from feedopt.scenario import ScenarioConfig, profile_schedule
 
 
 TINY = replace(
@@ -95,17 +95,20 @@ def test_cost_profiles_alternate_and_restore():
 
 def test_active_profile_boundaries():
     switches = (20, 40)
-    assert active_profile(switches, 0) == 0
-    assert active_profile(switches, 19) == 0
-    assert active_profile(switches, 20) == 1
-    assert active_profile(switches, 39) == 1
-    assert active_profile(switches, 40) == 0
-    assert active_profile(switches, 60) == 0
+    profile = profile_schedule(switches, 60)
+    assert profile.shape == (61,)
+    assert profile[0] == 0
+    assert profile[19] == 0
+    assert profile[20] == 1
+    assert profile[39] == 1
+    assert profile[40] == 0
+    assert profile[60] == 0
     # three switches keep alternating: 0, 1, 0, 1
-    assert active_profile((10, 20, 30), 5) == 0
-    assert active_profile((10, 20, 30), 15) == 1
-    assert active_profile((10, 20, 30), 25) == 0
-    assert active_profile((10, 20, 30), 35) == 1
+    profile = profile_schedule((10, 20, 30), 35)
+    assert profile[5] == 0
+    assert profile[15] == 1
+    assert profile[25] == 0
+    assert profile[35] == 1
 
 
 def test_coordinate_cost_matches_schedule():
@@ -156,7 +159,7 @@ def test_profile_two_seed_values_are_profile_two_costs():
     prob = scenario.build_scenario(cfg)
     one, two = scenario.seed_cost_learners(prob, cfg, [np.random.default_rng(r) for r in (0, 1)])
     switch = cfg.switch_steps[0]
-    assert active_profile(cfg.switch_steps, switch) == 1
+    assert profile_schedule(cfg.switch_steps, cfg.horizon)[switch] == 1
     assert not np.allclose(prob.costs.a[0], prob.costs.a[switch])
     lo, up = prob.boxes.lower[0], prob.boxes.upper[0]
     for r in (0, 1):

@@ -183,9 +183,13 @@ def _cmd_run_scenario(args) -> int:
 def _cmd_validate_bounds(args) -> int:
     scen, val = load_config(args.config)
     scen, val = with_seed(scen, val, args.seed)
+    prob, acfg, n_steps = _validation_setup(scen, val)
+    try:  # every count, check time and moment grid value, before the first ensemble
+        validation.check_settings(val, n_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _prepare_out(args.out, ["config_echo.ini", "validation_report.csv"], args.overwrite)
     _echo_config(args.out, scen, val)
-    prob, acfg, n_steps = _validation_setup(scen, val)
     jobs = max(1, args.jobs)
     # one Monte Carlo E||e|| estimate: the HP envelope reads only nu_e
     inputs = bounds.bound_inputs_from_problem(prob, acfg, n_steps, seed=val.seed)

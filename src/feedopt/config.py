@@ -20,6 +20,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 
 from .scenario import ScenarioConfig
+from .subweibull import SubWeibull
 
 __all__ = ["ConfigError", "ValidationSettings", "load_config", "dump_config", "default_ini"]
 
@@ -57,6 +58,10 @@ class ValidationSettings:
             raise ConfigError(f"validation instance must be synthetic or scenario, got {self.instance!r}")
         if not 0.0 < self.p <= 1.0:
             raise ConfigError(f"validation p must lie in (0, 1], got {self.p}")
+        if self.n_steps < 1:
+            raise ConfigError(f"validation n_steps must be at least 1, got {self.n_steps}")
+        for delta in self.deltas:
+            SubWeibull(1.0, 1.0).hp_bound(delta)  # raises unless 0 < delta < 1
 
 
 # Section -> keys, in the order the echo writes them.  A key names the field

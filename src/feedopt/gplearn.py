@@ -90,11 +90,12 @@ class GPPosterior:
             np.broadcast_to(np.asarray(h, dtype=float), self.batch_shape)[..., None]
             for h in (kernel.sigma_f2, kernel.ell)
         )
-        # one refit per GP of the flattened batch
+        # one refit per GP of the flattened batch; with no sites each GP is its
+        # prior, and nothing is factorised
         n_gp, q = int(np.prod(self.batch_shape)), self.n_obs
         sites, values = self.sites.reshape(n_gp, q), self.values.reshape(n_gp, q)
         self._factors, coeffs = np.empty((n_gp, q, q)), np.empty((n_gp, q))
-        for i, (s, sf2, ell) in enumerate(zip(sites, self._sf2.flat, self._ell.flat)):
+        for i, (s, sf2, ell) in enumerate(zip(sites, self._sf2.flat, self._ell.flat) if q else ()):
             gram = _se(sf2, ell, s[:, None] - s[None, :])
             self._factors[i] = _robust_cholesky(gram, self.noise_var, sf2)
             coeffs[i] = cho_solve((self._factors[i], True), values[i])

@@ -32,6 +32,7 @@ from ._table import write_csv
 __all__ = [
     "ValidationCheck",
     "ValidationReport",
+    "check_settings",
     "run_trials",
     "validate_expectation_bound",
     "validate_hp_bound",
@@ -100,6 +101,49 @@ def _binom_quantile(n: int, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argument checks: each check below calls its own, and check_settings all of
+# them, so validate-bounds rejects a bad value before any work
+
+
+def _check_expectation(n_trials):
+    if n_trials < 100:
+        raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
+
+
+def _check_hp(n_trials, check_times, n_steps):
+    """The check times as integers, once they and the trial count are valid."""
+    if n_trials < 1000:
+        raise ValueError(f"high-probability check needs at least 1000 trials, got {n_trials}")
+    check_times = [int(t) for t in check_times]
+    if any(t < 1 or t > n_steps for t in check_times):
+        raise ValueError(f"check times must lie in [1, {n_steps}], got {check_times}")
+    return check_times
+
+
+def _check_samples(n_samples, check):
+    if n_samples < 10**5:
+        raise ValueError(f"{check} check needs at least 1e5 samples, got {n_samples}")
+
+
+def _check_moment(zeta_grid, n_samples):
+    _check_samples(n_samples, "moment-identity")
+    for zeta_val in zeta_grid:
+        if not 0.0 < zeta_val < 1.0:
+            raise ValueError(f"contraction factors must lie in (0, 1), got {zeta_val}")
+
+
+def check_settings(val, n_steps) -> None:
+    """Raise ``ValueError`` for a trial or sample count, check time or moment
+    contraction factor of the ``[validation]`` settings ``val``
+    (:class:`feedopt.config.ValidationSettings`) that a check would reject,
+    the envelope ensembles running ``n_steps`` steps."""
+    _check_expectation(val.n_trials_mean)
+    _check_hp(val.n_trials_hp, val.check_times, n_steps)
+    _check_moment(val.moment_zetas, val.moment_samples)
+    _check_samples(val.sampler_samples, "sampler")  # the closure check's count too
+
+
+# ---------------------------------------------------------------------------
 # ensemble simulation
 
 
@@ -129,8 +173,7 @@ def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
     """Ensemble mean (plus three standard errors) vs. the expectation envelope
     of ``inputs`` (:class:`bounds.BoundInputs` for ``cfg`` on ``prob``), over
     steps ``1 .. inputs.horizon``; the row reports the step of least slack."""
-    if n_trials < 100:
-        raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
+    _check_expectation(n_trials)
     n_steps = inputs.horizon
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     curve = bounds.expectation_bound(inputs)
@@ -161,12 +204,8 @@ def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_
     estimate ``e_mean``.  For each level ``delta`` the frequency of ``d_t > bound_t``
     may not exceed the 99% binomial quantile of ``Binomial(n_trials, delta)``.
     """
-    if n_trials < 1000:
-        raise ValueError(f"high-probability check needs at least 1000 trials, got {n_trials}")
     n_steps = inputs.horizon
-    check_times = [int(t) for t in check_times]
-    if any(t < 1 or t > n_steps for t in check_times):
-        raise ValueError(f"check times must lie in [1, {n_steps}], got {check_times}")
+    check_times = _check_hp(n_trials, check_times, n_steps)
     d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     report = ValidationReport()
     for delta in deltas:
@@ -228,11 +267,7 @@ _MOMENT_REL_TOL = 0.02
 
 def validate_moment_identity(zeta_grid, p_grid, t_grid, k_grid, n_samples=10**5, seed=0):
     """Empirical ``||zeta^Omega||_k`` vs. the closed form, on a parameter grid."""
-    if n_samples < 10**5:
-        raise ValueError(f"moment-identity check needs at least 1e5 samples, got {n_samples}")
-    for zeta_val in zeta_grid:
-        if not 0.0 < zeta_val < 1.0:
-            raise ValueError(f"contraction factors must lie in (0, 1), got {zeta_val}")
+    _check_moment(zeta_grid, n_samples)
     rng = np.random.default_rng(seed)
     report = ValidationReport()
     for zeta_val in zeta_grid:
@@ -312,8 +347,7 @@ def _tail_checks(name, samples, cert, report):
 
 def validate_sampler_declarations(n_samples=10**6, seed=0):
     """Each sampler's empirical moments and tails vs. its declared certificate."""
-    if n_samples < 10**5:
-        raise ValueError(f"sampler check needs at least 1e5 samples, got {n_samples}")
+    _check_samples(n_samples, "sampler")
     samplers = {
         "gaussian(1)": subweibull.gaussian(1.0),
         "bounded-uniform(2)": subweibull.bounded_uniform(2.0),
@@ -336,8 +370,7 @@ def validate_closure_ops(dim=4, n_samples=10**6, seed=0):
     error-norm composition over ``dim`` coordinates are all exercised, on a
     unit gaussian ``x`` and a Weibull-tailed ``y`` (theta 1, scale 0.5).
     """
-    if n_samples < 10**5:
-        raise ValueError(f"closure check needs at least 1e5 samples, got {n_samples}")
+    _check_samples(n_samples, "closure")
     eps_sampler = subweibull.gaussian(1.0)
     xi_sampler = subweibull.weibull_tail(1.0, 0.5)
     rng = np.random.default_rng(seed)

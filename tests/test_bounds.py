@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feedopt import algorithm, bounds, cli, gplearn, scenario, subweibull, validation
+from feedopt import algorithm, bounds, cli, gplearn, problem, scenario, subweibull, validation
 from feedopt.bounds import BoundInputs
 
 
@@ -405,6 +405,22 @@ def test_bound_inputs_from_problem_shapes_and_fields():
     assert inputs.d0 == pytest.approx(d0)
     with pytest.raises(ValueError, match="horizon"):
         bounds.bound_inputs_from_problem(prob, cfg, n_steps=10**6)
+
+
+def test_envelope_anchor_is_the_default_start():
+    # d0 is measured from where simulate starts a run by default; the boxes are
+    # off-centre, so a start at the origin would not pass
+    from tests_common import static_instance
+
+    prob, cfg = static_instance()
+    n_t = prob.n_steps + 1
+    boxes = problem.BoxSchedule(np.tile([-1.0, 0.5, -2.5], (n_t, 1)), np.tile([2.0, 3.0, 0.5], (n_t, 1)))
+    prob = problem.TimeVaryingProblem(prob.plant, boxes, prob.costs)
+    inputs = bounds.bound_inputs_from_problem(prob, cfg, n_steps=20, seed=3)
+    traj = algorithm.simulate(prob, cfg, None, [np.random.default_rng(0)], n_steps=20)[0]
+    np.testing.assert_array_equal(traj.x[0], [0.5, 1.75, -1.0])
+    assert inputs.d0 == float(np.linalg.norm(traj.x[0] - prob.optimal_points()[0]))
+    assert inputs.d0 == pytest.approx(traj.d[0], rel=1e-12)
 
 
 def test_bound_inputs_silent_noise_gives_zero_error_mean():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -209,6 +210,49 @@ def test_bound_curve_exports(tmp_path):
     }
     header = (out / "bound_expectation_p0.7.csv").read_text().splitlines()[0]
     assert header == "t,bound,transient_term,path_term,error_term"
+
+
+def test_bound_curve_on_one_step_keeps_the_default_check_times(tmp_path):
+    # the shape of the benchmark's set-up call: the default check times reach past
+    # n_steps = 1, and bound-curve never reads them
+    for name, text in (
+        ("synthetic", "[validation]\nn_steps = 1\n"),
+        ("scenario", TINY_SCENARIO + "\n[validation]\ninstance = scenario\nn_steps = 1\n"),
+    ):
+        cfg = ini(tmp_path, text, name=f"{name}.ini")
+        out = tmp_path / name
+        assert cli.main(["bound-curve", "--config", cfg, "--out", str(out)]) == 0
+        p = "0.7" if name == "synthetic" else "0.5"
+        rows = (out / f"bound_hp_p{p}_delta0.1.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["t", "0", "1"]
+
+
+def test_bad_validation_values_exit_one_before_any_work(tmp_path, capsys):
+    # each fails where the config is loaded or, for what needs the step count,
+    # before validate-bounds simulates; no file is written and nothing warns
+    cases = (
+        ("bound-curve", "deltas = 0.3, 1.5", "error: delta must lie in (0, 1), got 1.5"),
+        ("bound-curve", "n_steps = 0", "error: validation n_steps must be at least 1, got 0"),
+        ("validate-bounds", "n_steps = 0", "error: validation n_steps must be at least 1, got 0"),
+        (
+            "validate-bounds", "n_steps = 50\ncheck_times = 10, 80",
+            "error: check times must lie in [1, 50], got [10, 80]",
+        ),
+        ("validate-bounds", "n_trials_mean = 50", "error: expectation check needs at least 100 trials"),
+        ("validate-bounds", "n_trials_hp = 10", "error: high-probability check needs at least 1000 trials"),
+        ("validate-bounds", "moment_zetas = 0.5, 1.5", "error: contraction factors must lie in (0, 1), got 1.5"),
+        ("validate-bounds", "moment_samples = 10", "error: moment-identity check needs at least 1e5 samples"),
+        ("validate-bounds", "sampler_samples = 10", "error: sampler check needs at least 1e5 samples"),
+    )
+    for command, lines, message in cases:
+        cfg = ini(tmp_path, f"[validation]\n{lines}\n", name="bad.ini")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert message in err, (lines, err)
+        assert not caught and "Warning" not in err
+        assert not (tmp_path / "b").exists()
 
 
 def test_gp_demo(tmp_path, capsys):

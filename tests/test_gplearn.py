@@ -119,6 +119,21 @@ def test_duplicate_sites_with_zero_noise_survive_via_jitter():
     assert np.isfinite(gp.posterior_mean(0.0))
 
 
+def test_empty_posterior_factorises_nothing(monkeypatch):
+    # the config check builds an empty posterior at load; it is its prior, so no
+    # Gram matrix is factorised
+    def no_factor(*args, **kwargs):
+        raise AssertionError("an empty posterior factorised a Gram matrix")
+
+    monkeypatch.setattr(gplearn, "cho_factor", no_factor)
+    gp = gplearn.GPPosterior(KER, 0.1)
+    assert gp.n_obs == 0
+    assert gp.posterior_mean(0.3) == 0.0 and gp.mean_gradient(0.3) == 0.0
+    assert gp.posterior_var(0.3) == 2.0
+    batch = gplearn.GPPosterior(KER, 0.1, np.empty((2, 3, 0)), np.empty((2, 3, 0)))
+    np.testing.assert_array_equal(batch.mean_gradient(np.ones((2, 3))), np.zeros((2, 3)))
+
+
 def test_posterior_validation():
     with pytest.raises(ValueError, match="noise variance"):
         gplearn.GPPosterior(KER, -0.1)

@@ -237,6 +237,17 @@ def test_path_lengths():
         assert lengths[t] == pytest.approx(float(np.linalg.norm(opt[t] - opt[t + 1])))
 
 
+def test_contraction_rates_own_the_step_range():
+    # the one step-range rule, which simulate and the envelope inputs meet here
+    prob = small_instance()
+    alpha = 1.0 / float(prob.curvature_all()[1].max())
+    for n_steps in (0, prob.n_steps + 1):
+        with pytest.raises(ValueError, match=r"step count must lie in \[1, 5\] \(the horizon\)"):
+            prob.contraction_rates(alpha, n_steps)
+    assert prob.contraction_rates(alpha, 1).shape == (2,)
+    assert prob.contraction_rates(alpha, prob.n_steps).shape == (prob.n_steps + 1,)
+
+
 def test_oracle_non_convergence_is_reported(monkeypatch):
     monkeypatch.setattr(problem, "_ORACLE_MAX_SWEEPS", 1)
     with pytest.raises(RuntimeError, match="did not reach residual"):

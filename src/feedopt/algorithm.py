@@ -122,7 +122,7 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     Returns one :class:`Trajectory` per run, in the order of ``rngs``.
     """
     n_steps = prob.n_steps if n_steps is None else int(n_steps)
-    prob.contraction_rates(cfg.alpha, n_steps)  # raises unless 1 <= n_steps <= horizon and alpha < 2/L
+    prob.contraction_rates(cfg.alpha, n_steps)  # raises unless 1 <= n_steps <= horizon, alpha < 2/L
     n_runs, m, n_out = len(rngs), prob.n_inputs, prob.n_outputs
     x0 = np.asarray(prob.boxes.midpoints[0] if x0 is None else x0, dtype=float)
     if x0.shape not in ((m,), (n_runs, m)):

@@ -45,9 +45,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_csv
+from .problem import check_step_size
 from .subweibull import ErrorSampler
 
 __all__ = ["AlgoConfig", "Trajectory", "simulate", "fan_out"]
+
+
+def check_availability(p) -> np.ndarray:
+    """``p`` as a float array; raises ``ValueError`` unless every entry lies in ``(0, 1]``."""
+    p = np.asarray(p, dtype=float)
+    bad = p[~((p > 0.0) & (p <= 1.0))]
+    if bad.size:
+        raise ValueError(f"availability probability must lie in (0, 1], got {bad[0]}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,8 @@ class AlgoConfig:
     meas_noise: ErrorSampler
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"step size must be positive, got {self.alpha}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"availability probability must lie in (0, 1], got {self.p}")
+        check_step_size(self.alpha)
+        check_availability(self.p)
 
 
 @dataclass
@@ -130,9 +138,7 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     x0 = np.broadcast_to(x0, (n_runs, m))
     if np.any(np.sqrt(_rowsum((prob.project(x0, 0) - x0) ** 2)) > 1e-9):
         raise ValueError("starting point is infeasible for the step-0 box")
-    p = np.broadcast_to(np.asarray(cfg.p if p is None else p, dtype=float), (n_runs,))
-    if not np.all((p > 0.0) & (p <= 1.0)):
-        raise ValueError(f"availability probability must lie in (0, 1], got {p}")
+    p = np.broadcast_to(check_availability(cfg.p if p is None else p), (n_runs,))
     if (input_grad is None) != (learned is None) or not isinstance(learned, (slice, type(None))):
         raise ValueError("input_grad comes with learned, one slice of runs")
 

@@ -50,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_csv
+from .algorithm import check_availability
+from .problem import check_step_size
 from .subweibull import SubWeibull, error_vectors, vector_norm_class
 
 __all__ = [
@@ -64,6 +66,14 @@ __all__ = [
     "effective_tracking_error_class",
     "bound_inputs_from_problem",
 ]
+
+
+def check_contraction_factors(zeta) -> None:
+    """Raise ``ValueError``, naming the first offender, unless every entry lies in ``(0, 1)``."""
+    zeta = np.asarray(zeta, dtype=float)
+    bad = zeta[~((zeta > 0.0) & (zeta < 1.0))]
+    if bad.size:
+        raise ValueError(f"contraction factors must lie in (0, 1), got {bad[0]}")
 
 
 @dataclass
@@ -89,10 +99,8 @@ class BoundInputs:
     def __post_init__(self):
         for name in ("zeta_t", "phi", "e_mean", "nu_e"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not self.alpha > 0:
-            raise ValueError(f"step size must be positive, got {self.alpha}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"availability probability must lie in (0, 1], got {self.p}")
+        check_step_size(self.alpha)
+        check_availability(self.p)
         n = self.zeta_t.shape[0]
         if n < 2:
             raise ValueError("envelopes need a horizon of at least one step")
@@ -100,14 +108,12 @@ class BoundInputs:
             raise ValueError("phi must have one entry fewer than zeta_t")
         if self.e_mean.shape[0] != n or self.nu_e.shape[0] != n:
             raise ValueError("e_mean and nu_e must align with zeta_t")
-        if not np.all((self.zeta_t[1:] > 0) & (self.zeta_t[1:] < 1)):
-            raise ValueError("contraction factors must lie in (0, 1); check alpha against 2/L")
+        check_contraction_factors(self.zeta_t[1:])
         if np.any(self.phi < 0) or np.any(self.e_mean < 0) or np.any(self.nu_e < 0):
             raise ValueError("phi, e_mean and nu_e must be nonnegative")
         if not self.d0 >= 0:
             raise ValueError(f"initial distance must be nonnegative, got {self.d0}")
-        if not self.theta_e > 0:
-            raise ValueError(f"tail exponent must be positive, got {self.theta_e}")
+        SubWeibull(self.theta_e, 1.0)  # raises unless theta_e > 0
 
     @property
     def horizon(self) -> int:
@@ -242,10 +248,8 @@ def log_eta(t, p: float, zeta):
     t, zeta = t.ravel(), zeta.ravel()
     if not np.all(np.isfinite(t) & (t >= 1)):
         raise ValueError("eta is defined for finite t >= 1")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"availability probability must lie in (0, 1], got {p}")
-    if not np.all((zeta > 0.0) & (zeta < 1.0)):
-        raise ValueError("contraction factor must lie in (0, 1)")
+    check_availability(p)
+    check_contraction_factors(zeta)
     log_zeta = np.log(zeta)
     if p == 1.0:
         return (t * log_zeta).reshape(shape)[()]
@@ -285,12 +289,10 @@ def binomial_moment(zeta_val: float, p: float, t: int, k: float) -> float:
     ``Omega ~ Binomial(t, p)`` (independence across steps makes this exact)."""
     if not 0.0 <= zeta_val <= 1.0:
         raise ValueError(f"zeta must lie in [0, 1], got {zeta_val}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"availability probability must lie in (0, 1], got {p}")
+    check_availability(p)
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
-    if not k >= 1:
-        raise ValueError(f"moment order must satisfy k >= 1, got {k}")
+    SubWeibull(1.0, 1.0).moment_bound(k)  # raises unless k >= 1
     return float((1.0 - p + p * zeta_val**k) ** (t / k))
 
 
@@ -340,8 +342,7 @@ def expected_error_norm(
     """
     if n_samples < 10**4:
         raise ValueError(f"need at least 1e4 samples for a stable estimate, got {n_samples}")
-    if dim < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
+    vector_norm_class(dim, eps_sampler.declared, xi_sampler.declared)  # raises unless dim >= 1
     e = error_vectors(eps_sampler, xi_sampler, dim, n_samples, rng)
     if noise_sampler is not None and noise_sampler.scale > 0:
         noise_map = np.asarray(noise_map, dtype=float)

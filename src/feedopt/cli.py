@@ -118,18 +118,15 @@ def _validation_setup(scen, val):
             p=val.p,
             seed=val.seed,
         )
-        if val.alpha is not None:
-            acfg = replace(acfg, alpha=val.alpha)
     else:
-        prob = scenario.build_scenario(scen)
-        base = scenario.algo_config(scen, val.p)
-        acfg = replace(base, alpha=val.alpha if val.alpha is not None else scen.alpha)
+        prob, acfg = scenario.build_scenario(scen), scenario.algo_config(scen, val.p)
     n_steps = min(val.n_steps, prob.n_steps)  # a scenario's horizon caps the step count
-    try:
-        prob.contraction_rates(acfg.alpha, n_steps)
+    alpha = acfg.alpha if val.alpha is None else val.alpha
+    try:  # 0 < alpha < 2/L, before the algorithm config takes it
+        prob.contraction_rates(alpha, n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return prob, acfg, n_steps
+    return prob, replace(acfg, alpha=alpha), n_steps
 
 
 def _dump_instance(path: str, scen, prob) -> None:

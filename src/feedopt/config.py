@@ -19,6 +19,7 @@ import configparser
 import typing
 from dataclasses import dataclass, fields, replace
 
+from .algorithm import check_availability
 from .scenario import ScenarioConfig
 from .subweibull import SubWeibull
 
@@ -56,8 +57,10 @@ class ValidationSettings:
     def __post_init__(self):
         if self.instance not in ("synthetic", "scenario"):
             raise ConfigError(f"validation instance must be synthetic or scenario, got {self.instance!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"validation p must lie in (0, 1], got {self.p}")
+        try:
+            check_availability(self.p)
+        except ValueError as exc:
+            raise ConfigError(f"validation p: {exc}") from exc
         if self.n_steps < 1:
             raise ConfigError(f"validation n_steps must be at least 1, got {self.n_steps}")
         for delta in self.deltas:

@@ -32,6 +32,18 @@ _ORACLE_TOL = 1e-10
 _ORACLE_MAX_SWEEPS = 10**6
 
 
+def check_step_size(alpha) -> None:
+    """Raise ``ValueError`` unless ``alpha > 0`` (``alpha < 2/L`` needs an instance)."""
+    if not alpha > 0:
+        raise ValueError(f"step size must be positive, got {alpha}")
+
+
+def check_tracking_weight(beta) -> None:
+    """Raise ``ValueError`` unless ``beta > 0``."""
+    if not beta > 0:
+        raise ValueError(f"tracking weight beta must be positive, got {beta}")
+
+
 @dataclass
 class LinearPlantMap:
     """Steady-state sensitivities ``y = G x + H w``."""
@@ -86,8 +98,7 @@ class CostSchedule:
     w: np.ndarray
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"tracking weight beta must be positive, got {self.beta}")
+        check_tracking_weight(self.beta)
         for name in ("y_ref", "a", "b", "c", "w"):
             setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         n_t = self.y_ref.shape[0]
@@ -184,10 +195,11 @@ class TimeVaryingProblem:
     def contraction_rates(self, alpha: float, n_steps: int) -> np.ndarray:
         """Rates ``zeta_t = max(|1 - alpha mu_t|, |1 - alpha L_t|)`` for
         ``t = 0 .. n_steps``; raises ``ValueError`` unless ``n_steps`` lies in
-        ``[1, self.n_steps]`` and ``alpha < 2/L_t`` over the update steps
+        ``[1, self.n_steps]`` and ``0 < alpha < 2/L_t`` over the update steps
         ``1 .. n_steps``, which makes every rate below 1."""
         if not 1 <= n_steps <= self.n_steps:
             raise ValueError(f"step count must lie in [1, {self.n_steps}] (the horizon), got {n_steps}")
+        check_step_size(alpha)
         mu, L = self.curvature_all()
         l_sup = float(L[1 : n_steps + 1].max())
         if not alpha < 2.0 / l_sup:

@@ -112,8 +112,7 @@ class ScenarioConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats an entry: {', '.join(map(str, values))}")
-        if not all(0.0 < p <= 1.0 for p in self.p_values):
-            raise ValueError(f"availability probabilities must lie in (0, 1], got {self.p_values}")
+        algorithm.check_availability(self.p_values)
         if any(m not in ("exact", "gp") for m in self.modes):
             raise ValueError(f"modes must be drawn from exact/gp, got {self.modes}")
         if any(not 0 < s <= self.horizon for s in self.switch_steps):
@@ -124,8 +123,8 @@ class ScenarioConfig:
             raise ValueError("evaluation period and seed-observation count must be positive")
         if self.gp_max_obs is not None and self.gp_max_obs < 2:
             raise ValueError("the observation window must keep at least 2 points")
-        if not self.beta > 0:
-            raise ValueError(f"tracking weight beta must be positive, got {self.beta}")
+        problem.check_tracking_weight(self.beta)
+        problem.check_step_size(self.alpha)
         for chan in ("eps", "xi", "meas"):
             try:
                 self.sampler(chan)

@@ -55,8 +55,8 @@ class SubWeibull:
     def moment_bound(self, k):
         """Certified upper bound on the moment norm ``||X||_k``, ``k >= 1``."""
         k = np.asarray(k, dtype=float)
-        if np.any(k < 1):
-            raise ValueError("moment order must satisfy k >= 1")
+        if not np.all(k >= 1):
+            raise ValueError(f"moment order must satisfy k >= 1, got {k}")
         out = self.nu * k**self.theta
         return float(out) if out.ndim == 0 else out
 

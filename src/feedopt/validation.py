@@ -19,6 +19,7 @@ worker count used to produce them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -125,22 +126,24 @@ def _check_samples(n_samples, check):
         raise ValueError(f"{check} check needs at least 1e5 samples, got {n_samples}")
 
 
-def _check_moment(zeta_grid, n_samples):
+def _check_moment(zeta_grid, p_grid, t_grid, k_grid, n_samples):
     _check_samples(n_samples, "moment-identity")
-    for zeta_val in zeta_grid:
-        if not 0.0 < zeta_val < 1.0:
-            raise ValueError(f"contraction factors must lie in (0, 1), got {zeta_val}")
+    bounds.check_contraction_factors(zeta_grid)
+    for p, t, k in itertools.product(p_grid, t_grid, k_grid):
+        bounds.binomial_moment(0.5, p, int(t), float(k))  # raises unless p in (0, 1], t >= 0, k >= 1
 
 
 def check_settings(val, n_steps) -> None:
-    """Raise ``ValueError`` for a trial or sample count, check time or moment
-    contraction factor of the ``[validation]`` settings ``val``
+    """Raise ``ValueError`` for a trial or sample count, check time, moment
+    grid value or closure dimension of the ``[validation]`` settings ``val``
     (:class:`feedopt.config.ValidationSettings`) that a check would reject,
     the envelope ensembles running ``n_steps`` steps."""
     _check_expectation(val.n_trials_mean)
     _check_hp(val.n_trials_hp, val.check_times, n_steps)
-    _check_moment(val.moment_zetas, val.moment_samples)
+    _check_moment(val.moment_zetas, val.moment_ps, val.moment_ts, val.moment_ks, val.moment_samples)
     _check_samples(val.sampler_samples, "sampler")  # the closure check's count too
+    unit = subweibull.SubWeibull(1.0, 1.0)
+    subweibull.vector_norm_class(val.closure_dim, unit, unit)  # raises unless closure_dim >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +270,7 @@ _MOMENT_REL_TOL = 0.02
 
 def validate_moment_identity(zeta_grid, p_grid, t_grid, k_grid, n_samples=10**5, seed=0):
     """Empirical ``||zeta^Omega||_k`` vs. the closed form, on a parameter grid."""
-    _check_moment(zeta_grid, n_samples)
+    _check_moment(zeta_grid, p_grid, t_grid, k_grid, n_samples)
     rng = np.random.default_rng(seed)
     report = ValidationReport()
     for zeta_val in zeta_grid:
@@ -373,11 +376,12 @@ def validate_closure_ops(dim=4, n_samples=10**6, seed=0):
     _check_samples(n_samples, "closure")
     eps_sampler = subweibull.gaussian(1.0)
     xi_sampler = subweibull.weibull_tail(1.0, 0.5)
+    ce, cx = eps_sampler.declared, xi_sampler.declared
+    norm_cert = subweibull.vector_norm_class(dim, ce, cx)  # raises unless dim >= 1, before any draw
     rng = np.random.default_rng(seed)
     report = ValidationReport()
     x = eps_sampler.sample(rng, n_samples)
     y = xi_sampler.sample(rng, n_samples)
-    ce, cx = eps_sampler.declared, xi_sampler.declared
     compositions = [
         ("scale(3x)", 3.0 * x, ce.scale(3.0)),
         ("shift(2+x)", 2.0 + x, ce.shift(2.0)),
@@ -389,9 +393,8 @@ def validate_closure_ops(dim=4, n_samples=10**6, seed=0):
         _tail_checks(name, samples, cert, report)
     e = subweibull.error_vectors(eps_sampler, xi_sampler, dim, n_samples, rng)
     norms = np.linalg.norm(e, axis=1)
-    cert = subweibull.vector_norm_class(dim, ce, cx)
-    _moment_checks(f"error-norm(dim={dim})", norms, cert, report)
-    _tail_checks(f"error-norm(dim={dim})", norms, cert, report)
+    _moment_checks(f"error-norm(dim={dim})", norms, norm_cert, report)
+    _tail_checks(f"error-norm(dim={dim})", norms, norm_cert, report)
     return report
 
 

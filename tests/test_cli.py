@@ -243,6 +243,12 @@ def test_bad_validation_values_exit_one_before_any_work(tmp_path, capsys):
         ("validate-bounds", "moment_zetas = 0.5, 1.5", "error: contraction factors must lie in (0, 1), got 1.5"),
         ("validate-bounds", "moment_samples = 10", "error: moment-identity check needs at least 1e5 samples"),
         ("validate-bounds", "sampler_samples = 10", "error: sampler check needs at least 1e5 samples"),
+        ("validate-bounds", "moment_ps = 0, 1", "error: availability probability must lie in (0, 1], got 0.0"),
+        ("validate-bounds", "moment_ts = -1", "error: step count must be nonnegative, got -1"),
+        ("validate-bounds", "moment_ks = 0", "error: moment order must satisfy k >= 1, got 0.0"),
+        ("validate-bounds", "closure_dim = 0", "error: dimension must be at least 1, got 0"),
+        ("validate-bounds", "alpha = -0.1", "error: step size must be positive, got -0.1"),
+        ("bound-curve", "alpha = 0", "error: step size must be positive, got 0.0"),
     )
     for command, lines, message in cases:
         cfg = ini(tmp_path, f"[validation]\n{lines}\n", name="bad.ini")

@@ -238,12 +238,16 @@ def test_path_lengths():
 
 
 def test_contraction_rates_own_the_step_range():
-    # the one step-range rule, which simulate and the envelope inputs meet here
+    # the one step-range rule, which simulate and the envelope inputs meet here,
+    # and the whole step-size condition 0 < alpha < 2/L
     prob = small_instance()
     alpha = 1.0 / float(prob.curvature_all()[1].max())
     for n_steps in (0, prob.n_steps + 1):
         with pytest.raises(ValueError, match=r"step count must lie in \[1, 5\] \(the horizon\)"):
             prob.contraction_rates(alpha, n_steps)
+    for bad_alpha in (0.0, -0.1):
+        with pytest.raises(ValueError, match=f"step size must be positive, got {bad_alpha}"):
+            prob.contraction_rates(bad_alpha, prob.n_steps)
     assert prob.contraction_rates(alpha, 1).shape == (2,)
     assert prob.contraction_rates(alpha, prob.n_steps).shape == (prob.n_steps + 1,)
 

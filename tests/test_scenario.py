@@ -44,6 +44,8 @@ def test_config_validation():
         ScenarioConfig(p_values=(0.5, 0.5))
     with pytest.raises(ValueError, match="modes repeats an entry: gp, exact, gp"):
         ScenarioConfig(modes=("gp", "exact", "gp"))
+    with pytest.raises(ValueError, match="step size must be positive, got 0.0"):
+        ScenarioConfig(alpha=0.0)
 
 
 def test_build_scenario_is_deterministic_in_seed():

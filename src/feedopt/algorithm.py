@@ -19,15 +19,24 @@ batch may mix runs whose model term is ``grad U_t + eps_t`` with one block
 of learned runs, whose model term a hook supplies.
 
 Randomness protocol: every generator is consumed exactly as a lone run
-would consume it.  At each step, generator by generator in first-seen
-order, it is drawn in the fixed order (availability uniform, eps, xi,
-measurement noise), and the noise is drawn even on steps where no
-measurement arrives.  Runs given the same generator object share its
-draws: each step's numbers are drawn once and handed to all of them, so
-each sees exactly what a lone run on a fresh copy of that generator would.
-Runs with the same stream but different ``p`` therefore share one
-underlying sample path, and their availability indicators are monotone in
-``p`` (v coupling), which makes cross-``p`` comparisons well paired.
+would consume it, and the noise is drawn even on steps where no
+measurement arrives.  Two layouts exist, and the caller picks one:
+
+* per step (the default, used by the study): at each step, generator by
+  generator in first-seen order, one availability uniform, ``m`` eps,
+  ``m`` xi and ``n_out`` measurement-noise values;
+* whole horizon (``block_draws=True``, used by the validation trials):
+  before the first step, generator by generator in first-seen order, one
+  call per channel for all ``T`` steps, in the order ``T`` availability
+  uniforms, ``T*m`` eps, ``T*m`` xi and ``T*n_out`` noise values; step
+  ``t`` reads row ``t - 1`` of each block.
+
+Runs given the same generator object share its draws: the numbers are
+drawn once and handed to all of them, so each sees exactly what a lone run
+on a fresh copy of that generator would.  Runs with the same stream but
+different ``p`` therefore share one underlying sample path, and their
+availability indicators are monotone in ``p`` (v coupling), which makes
+cross-``p`` comparisons well paired.
 
 The batch arithmetic is row-independent: products with the plant matrix
 and norms are summed elementwise in a fixed order rather than by a BLAS
@@ -108,7 +117,41 @@ def _rowsum(P):
     return total
 
 
-def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned=None, after_step=None):
+def _step_draws(cfg, streams, m, n_out):
+    """The per-step layout: ``draw(t)`` makes step ``t``'s draws, generator
+    by generator, and returns ``(u, eps, xi, noise)`` with one row per generator."""
+    u, noise = np.empty(len(streams)), np.empty((len(streams), n_out))
+    eps, xi = np.empty((len(streams), m)), np.empty((len(streams), m))
+
+    def draw(t):
+        for k, rng in enumerate(streams):
+            u[k] = rng.random()
+            eps[k] = cfg.eps_sampler.sample(rng, m)
+            xi[k] = cfg.xi_sampler.sample(rng, m)
+            noise[k] = cfg.meas_noise.sample(rng, n_out)
+        return u, eps, xi, noise
+
+    return draw
+
+
+def _horizon_draws(cfg, streams, n_steps, m, n_out):
+    """The whole-horizon layout: every generator draws each channel for all
+    ``n_steps`` steps now, in one call per channel; ``draw(t)`` reads step ``t``'s rows."""
+    u = np.empty((n_steps, len(streams)))
+    eps, xi = np.empty((n_steps, len(streams), m)), np.empty((n_steps, len(streams), m))
+    noise = np.empty((n_steps, len(streams), n_out))
+    for k, rng in enumerate(streams):
+        u[:, k] = rng.random(n_steps)
+        eps[:, k] = cfg.eps_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+        xi[:, k] = cfg.xi_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+        noise[:, k] = cfg.meas_noise.sample(rng, n_steps * n_out).reshape(n_steps, n_out)
+    return lambda t: (u[t - 1], eps[t - 1], xi[t - 1], noise[t - 1])
+
+
+def simulate(
+    prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned=None, after_step=None,
+    block_draws=False,
+):
     """Advance ``R = len(rngs)`` independent runs together for ``n_steps`` steps.
 
     ``x0`` holds ``(R, m)`` starting points, one ``(m,)`` point for every
@@ -125,7 +168,8 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     run's recorded error norm uses the hook's deviation from the true
     input-cost gradient.  ``after_step(t, X_t)`` is optionally invoked after
     every update with the ``(R, m)`` iterates of all runs (measurement
-    scheduling hooks live here).
+    scheduling hooks live here).  ``block_draws`` picks the whole-horizon
+    draw layout over the per-step one (see the module docstring).
 
     Returns one :class:`Trajectory` per run, in the order of ``rngs``.
     """
@@ -153,17 +197,14 @@ def simulate(prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned
     streams = list({id(rng): rng for rng in rngs}.values())
     row_of = {id(rng): k for k, rng in enumerate(streams)}
     owner = np.array([row_of[id(rng)] for rng in rngs], dtype=np.intp)
-    u, noise = np.empty(len(streams)), np.empty((len(streams), n_out))
-    eps, xi = np.empty((len(streams), m)), np.empty((len(streams), m))
+    if block_draws:
+        draw = _horizon_draws(cfg, streams, n_steps, m, n_out)
+    else:
+        draw = _step_draws(cfg, streams, m, n_out)
 
     for t in range(1, n_steps + 1):
         x_prev = x[:, t - 1]
-        # fixed per-generator consumption order; draws happen regardless of availability
-        for k, rng in enumerate(streams):
-            u[k] = rng.random()
-            eps[k] = cfg.eps_sampler.sample(rng, m)
-            xi[k] = cfg.xi_sampler.sample(rng, m)
-            noise[k] = cfg.meas_noise.sample(rng, n_out)
+        u, eps, xi, noise = draw(t)  # drawn regardless of availability
         xi_r = xi[owner]
         avail = u[owner] < p
         eps_r = eps[owner]

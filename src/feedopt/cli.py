@@ -21,6 +21,7 @@ deterministic in (config, seed) and independent of ``--jobs``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -107,25 +108,34 @@ def _traj_name(p: float, mode: str, exp_index: int) -> str:
     return f"traj_p{format(p, 'g')}_{mode}_e{exp_index}.csv"
 
 
-def _validation_setup(scen, val):
-    """Instance and algorithm config for validate-bounds / bound-curve."""
-    if val.instance == "synthetic":
-        prob, acfg = validation.synthetic_instance(
-            n_inputs=val.n_inputs,
-            n_steps=val.n_steps,
-            drift_amplitude=val.drift,
-            error_scale=val.error_scale,
-            p=val.p,
-            seed=val.seed,
-        )
-    else:
-        prob, acfg = scenario.build_scenario(scen), scenario.algo_config(scen, val.p)
-    n_steps = min(val.n_steps, prob.n_steps)  # a scenario's horizon caps the step count
-    alpha = acfg.alpha if val.alpha is None else val.alpha
-    try:  # 0 < alpha < 2/L, before the algorithm config takes it
-        prob.contraction_rates(alpha, n_steps)
+@contextlib.contextmanager
+def _as_config_error():
+    """Report a ``ValueError`` raised inside as a configuration problem (exit 1)."""
+    try:
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _validation_setup(scen, val):
+    """Instance and algorithm config for validate-bounds / bound-curve.  A
+    ``ValueError`` from the instance build or from ``0 < alpha < 2/L`` is a
+    config error."""
+    with _as_config_error():
+        if val.instance == "synthetic":
+            prob, acfg = validation.synthetic_instance(
+                n_inputs=val.n_inputs,
+                n_steps=val.n_steps,
+                drift_amplitude=val.drift,
+                error_scale=val.error_scale,
+                p=val.p,
+                seed=val.seed,
+            )
+        else:
+            prob, acfg = scenario.build_scenario(scen), scenario.algo_config(scen, val.p)
+        n_steps = min(val.n_steps, prob.n_steps)  # a scenario's horizon caps the step count
+        alpha = acfg.alpha if val.alpha is None else val.alpha
+        prob.contraction_rates(alpha, n_steps)  # before the algorithm config takes alpha
     return prob, replace(acfg, alpha=alpha), n_steps
 
 
@@ -155,11 +165,12 @@ def _cmd_run_scenario(args) -> int:
         for mode in scen.modes
         for e in range(scen.n_experiments)
     ]
+    with _as_config_error():  # the instance and 0 < alpha < 2/L, before any output
+        prob = scenario.build_scenario(scen)
+        prob.contraction_rates(scen.alpha, scen.horizon)
     _prepare_out(args.out, names, args.overwrite)
     # the echo reflects the file as parsed; a --seed override is runtime state
     _echo_config(args.out, scen_file, val)
-
-    prob = scenario.build_scenario(scen)
 
     def sink(p, mode, e, traj):
         traj.to_csv(os.path.join(args.out, _traj_name(p, mode, e)))
@@ -181,25 +192,19 @@ def _cmd_validate_bounds(args) -> int:
     scen, val = load_config(args.config)
     scen, val = with_seed(scen, val, args.seed)
     prob, acfg, n_steps = _validation_setup(scen, val)
-    try:  # every count, check time and moment grid value, before the first ensemble
+    with _as_config_error():  # every count, check time and moment grid value, before the ensemble
         validation.check_settings(val, n_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _prepare_out(args.out, ["config_echo.ini", "validation_report.csv"], args.overwrite)
     _echo_config(args.out, scen, val)
-    jobs = max(1, args.jobs)
     # one Monte Carlo E||e|| estimate: the HP envelope reads only nu_e
     inputs = bounds.bound_inputs_from_problem(prob, acfg, n_steps, seed=val.seed)
-
-    report = validation.validate_expectation_bound(
-        prob, acfg, inputs, val.n_trials_mean, seed=val.seed, n_jobs=jobs
+    # one ensemble: trial i is the same row in both checks, whichever reads more rows
+    d = validation.run_trials(
+        prob, acfg, n_steps, max(val.n_trials_mean, val.n_trials_hp), val.seed, n_jobs=max(1, args.jobs)
     )
-    report.extend(
-        validation.validate_hp_bound(
-            prob, acfg, inputs, val.n_trials_hp, val.deltas, val.check_times,
-            seed=val.seed + 1, n_jobs=jobs,
-        )
-    )
+    report = validation.validate_expectation_bound(d[: val.n_trials_mean], inputs)
+    report.extend(validation.validate_hp_bound(d[: val.n_trials_hp], inputs, val.deltas, val.check_times))
+    del d  # the certificate checks below hold the peak memory
     report.extend(
         validation.validate_moment_identity(
             val.moment_zetas, val.moment_ps, val.moment_ts, val.moment_ks,

@@ -44,6 +44,14 @@ def check_tracking_weight(beta) -> None:
         raise ValueError(f"tracking weight beta must be positive, got {beta}")
 
 
+def _finite_rows(name, value) -> np.ndarray:
+    """``value`` as a 2-D float array; raises ``ValueError`` on a NaN or infinite entry."""
+    arr = np.atleast_2d(np.asarray(value, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
+
+
 @dataclass
 class LinearPlantMap:
     """Steady-state sensitivities ``y = G x + H w``."""
@@ -52,8 +60,8 @@ class LinearPlantMap:
     H: np.ndarray
 
     def __post_init__(self):
-        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
+        self.G = _finite_rows("plant G", self.G)
+        self.H = _finite_rows("plant H", self.H)
         if self.G.shape[0] != self.H.shape[0]:
             raise ValueError(
                 f"G and H must share the output dimension, got {self.G.shape} and {self.H.shape}"
@@ -68,8 +76,8 @@ class BoxSchedule:
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.atleast_2d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_2d(np.asarray(self.upper, dtype=float))
+        self.lower = _finite_rows("box lower", self.lower)
+        self.upper = _finite_rows("box upper", self.upper)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper schedules must have identical shapes")
         if np.any(self.lower > self.upper):
@@ -100,7 +108,7 @@ class CostSchedule:
     def __post_init__(self):
         check_tracking_weight(self.beta)
         for name in ("y_ref", "a", "b", "c", "w"):
-            setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            setattr(self, name, _finite_rows(f"cost schedule {name}", getattr(self, name)))
         n_t = self.y_ref.shape[0]
         for name in ("a", "b", "c", "w"):
             if getattr(self, name).shape[0] != n_t:

@@ -106,6 +106,13 @@ def _binom_quantile(n: int, delta: float) -> int:
 # them, so validate-bounds rejects a bad value before any work
 
 
+def _check_ensemble(d, inputs):
+    """``(n_trials, n_steps)`` of the distance rows ``d``, once they span the envelope's horizon."""
+    if d.ndim != 2 or d.shape[1] != inputs.horizon + 1:
+        raise ValueError(f"distance rows must span t = 0 .. {inputs.horizon}, got shape {d.shape}")
+    return d.shape[0], inputs.horizon
+
+
 def _check_expectation(n_trials):
     if n_trials < 100:
         raise ValueError(f"expectation check needs at least 100 trials, got {n_trials}")
@@ -150,35 +157,52 @@ def check_settings(val, n_steps) -> None:
 # ensemble simulation
 
 
+_TRIAL_BLOCK_SIZE = 2**22  # numbers of whole-horizon draws per batch of trials (32 MB)
+
+
+def _trial_distances(prob, cfg, n_steps, seed, trials):
+    """The distance rows of the trials with indices ``trials``, simulated in
+    batches of rows whose draws fit ``_TRIAL_BLOCK_SIZE`` numbers."""
+    per_trial = n_steps * (1 + 2 * prob.n_inputs + prob.n_outputs)
+    width = max(1, _TRIAL_BLOCK_SIZE // per_trial)
+    rows = []
+    for lo in range(0, len(trials), width):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            for i in trials[lo : lo + width]
+        ]
+        trajs = algorithm.simulate(prob, cfg, None, rngs, n_steps=n_steps, block_draws=True)
+        rows.extend(traj.d for traj in trajs)
+    return rows
+
+
 def run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=1) -> np.ndarray:
     """Distances ``d_t`` for ``n_trials`` independent runs, ``(n_trials, n_steps+1)``,
     each started at the step-0 box midpoint.
 
-    Trial ``i`` always draws from the child stream ``(seed, i)``, so the
-    result is identical for any ``n_jobs``.
+    Trial ``i`` draws from its own child stream ``(seed, i)``, each channel
+    for the whole horizon at once (``algorithm.simulate``'s ``block_draws``
+    layout).  Its row therefore depends on neither ``n_jobs`` nor the batch
+    of rows it is simulated in.
     """
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
     prob.optimal_points()  # fill the cache once, before any worker pickling
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for i in range(n_trials)
-    ]
-    simulate = partial(algorithm.simulate, prob, cfg, None, n_steps=n_steps)
-    return np.stack([traj.d for traj in algorithm.fan_out(simulate, rngs, n_jobs)])
+    chunk = partial(_trial_distances, prob, cfg, n_steps, seed)
+    return np.stack(algorithm.fan_out(chunk, range(n_trials), n_jobs))
 
 
 # ---------------------------------------------------------------------------
 # envelope checks
 
 
-def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
-    """Ensemble mean (plus three standard errors) vs. the expectation envelope
-    of ``inputs`` (:class:`bounds.BoundInputs` for ``cfg`` on ``prob``), over
-    steps ``1 .. inputs.horizon``; the row reports the step of least slack."""
+def validate_expectation_bound(d, inputs):
+    """Ensemble mean (plus three standard errors) of the distances ``d``
+    (:func:`run_trials` rows) vs. the expectation envelope of ``inputs``
+    (:class:`bounds.BoundInputs` of the simulated instance and algorithm),
+    over steps ``1 .. inputs.horizon``; the row reports the step of least slack."""
+    n_trials, n_steps = _check_ensemble(d, inputs)
     _check_expectation(n_trials)
-    n_steps = inputs.horizon
-    d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     curve = bounds.expectation_bound(inputs)
     mean = d.mean(axis=0)
     se = d.std(axis=0, ddof=1) / math.sqrt(n_trials)
@@ -188,7 +212,7 @@ def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
     with np.errstate(divide="ignore"):
         loose = np.where(mean[1:] > 0, curve.value[1:] / mean[1:], np.inf)
     check = ValidationCheck(
-        name=f"expectation-envelope p={cfg.p} T={n_steps}",
+        name=f"expectation-envelope p={inputs.p} T={n_steps}",
         passed=bool(rel[worst] <= 1.0 + 1e-9),
         statistic=float(mean[worst] + 3.0 * se[worst]),
         bound=float(curve.value[worst]),
@@ -199,17 +223,17 @@ def validate_expectation_bound(prob, cfg, inputs, n_trials, seed, n_jobs=1):
     return ValidationReport([check])
 
 
-def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_jobs=1):
+def validate_hp_bound(d, inputs, deltas, check_times):
     """Exceedance frequency of the high-probability envelope at chosen steps.
 
-    ``inputs`` are the :class:`bounds.BoundInputs` for ``cfg`` on ``prob``;
+    ``d`` are :func:`run_trials` distance rows and ``inputs`` the
+    :class:`bounds.BoundInputs` of the simulated instance and algorithm;
     the envelope reads their certificate ``(theta_e, nu_e)``, never the
     estimate ``e_mean``.  For each level ``delta`` the frequency of ``d_t > bound_t``
     may not exceed the 99% binomial quantile of ``Binomial(n_trials, delta)``.
     """
-    n_steps = inputs.horizon
+    n_trials, n_steps = _check_ensemble(d, inputs)
     check_times = _check_hp(n_trials, check_times, n_steps)
-    d = run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=n_jobs)
     report = ValidationReport()
     for delta in deltas:
         curve = bounds.hp_bound_trajectory(inputs, delta)
@@ -219,7 +243,7 @@ def validate_hp_bound(prob, cfg, inputs, n_trials, deltas, check_times, seed, n_
             quantile = float(np.quantile(d[:, t], 1.0 - delta))
             report.checks.append(
                 ValidationCheck(
-                    name=f"hp-envelope delta={delta} t={t} p={cfg.p}",
+                    name=f"hp-envelope delta={delta} t={t} p={inputs.p}",
                     passed=freq <= allowance,
                     statistic=freq,
                     bound=allowance,
@@ -412,6 +436,8 @@ def synthetic_instance(
     gaussian gradient errors on both channels.  The step size is set to
     ``1/L``.  Returns ``(problem, algo_config)``.
     """
+    if n_inputs < 1:
+        raise ValueError(f"the synthetic instance needs at least one input, got {n_inputs}")
     n_outputs = 2
     rng = np.random.default_rng(seed)
     G = rng.uniform(0.5, 1.0, (n_outputs, n_inputs))

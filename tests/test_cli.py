@@ -249,6 +249,12 @@ def test_bad_validation_values_exit_one_before_any_work(tmp_path, capsys):
         ("validate-bounds", "closure_dim = 0", "error: dimension must be at least 1, got 0"),
         ("validate-bounds", "alpha = -0.1", "error: step size must be positive, got -0.1"),
         ("bound-curve", "alpha = 0", "error: step size must be positive, got 0.0"),
+        # the instance build rejects these, for both commands
+        ("bound-curve", "n_inputs = 0", "error: the synthetic instance needs at least one input, got 0"),
+        ("bound-curve", "error_scale = -1", "error: sampler scale must be nonnegative, got -1.0"),
+        ("bound-curve", "seed = -1", "error: expected non-negative integer"),
+        ("bound-curve", "drift = nan", "error: cost schedule y_ref must be finite, got nan"),
+        ("validate-bounds", "drift = nan", "error: cost schedule y_ref must be finite, got nan"),
     )
     for command, lines, message in cases:
         cfg = ini(tmp_path, f"[validation]\n{lines}\n", name="bad.ini")
@@ -355,14 +361,15 @@ def test_uncontractive_step_size_is_a_config_error_for_curves(tmp_path, capsys):
     assert "contraction condition" in capsys.readouterr().err
 
 
-def test_runtime_failures_exit_three(tmp_path, capsys):
-    # run-scenario defers the step-size check to the simulation itself
+def test_uncontractive_step_size_exits_one_before_any_output(tmp_path, capsys):
+    # run-scenario checks alpha < 2/L on the built instance before it writes anything
     cfg = ini(
         tmp_path,
         TINY_SCENARIO.replace("p_values = 0.5, 1.0", "p_values = 0.5, 1.0\nalpha = 50"),
     )
-    assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "z")]) == 3
-    assert "runtime failure" in capsys.readouterr().err
+    assert cli.main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "z")]) == 1
+    assert "error: step size 50.0 violates the contraction condition" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
 
 
 def test_oracle_non_convergence_exits_three(tmp_path, capsys, monkeypatch):

@@ -70,6 +70,23 @@ def test_cost_schedule_validation():
         problem.CostSchedule(1.0, np.zeros((n_t + 1, 1)), ok["a"], ok["b"], ok["c"], ok["w"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_classes_reject_non_finite_entries(bad):
+    # so a NaN never reaches the optimum oracle
+    row = np.array([[0.0, bad]])
+    ok = np.zeros((1, 2))
+    for build, name in (
+        (lambda: problem.LinearPlantMap(row, [[1.0]]), "plant G"),
+        (lambda: problem.LinearPlantMap([[1.0]], row), "plant H"),
+        (lambda: problem.BoxSchedule(row, ok), "box lower"),
+        (lambda: problem.BoxSchedule(ok, row), "box upper"),
+        (lambda: problem.CostSchedule(1.0, row, ok, ok, ok, ok), "cost schedule y_ref"),
+        (lambda: problem.CostSchedule(1.0, ok, ok, ok, ok, row), "cost schedule w"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+            build()
+
+
 def test_problem_cross_checks_dimensions():
     prob = small_instance()
     bad_boxes = problem.BoxSchedule(np.full((6, 3), -1.0), np.full((6, 3), 1.0))

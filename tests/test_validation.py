@@ -4,10 +4,13 @@ Full-scale dominance runs live in test_acceptance.py; these stay at the
 smallest sample sizes the harness accepts.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from feedopt import bounds, validation
+from feedopt import algorithm, bounds, subweibull, validation
 from feedopt.validation import ValidationCheck, ValidationReport
 from tests_common import static_instance
 
@@ -38,10 +41,60 @@ def test_run_trials_streams_are_per_index():
     np.testing.assert_array_equal(few, many[:3])
 
 
+def weibull_instance():
+    """The static instance with Weibull-tailed xi, whose sampler draws magnitudes, then signs."""
+    prob, cfg = static_instance()
+    return prob, replace(cfg, xi_sampler=subweibull.weibull_tail(1.5, 0.05))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 20])
+def test_run_trials_rows_do_not_depend_on_the_batch(monkeypatch, batch):
+    # 20 trials in batches of 1, 7 (7, 7, 6) and all 20 give the same rows bit for bit
+    prob, cfg = weibull_instance()
+    whole = validation.run_trials(prob, cfg, n_steps=30, n_trials=20, seed=4)
+    per_trial = 30 * (1 + 2 * prob.n_inputs + prob.n_outputs)
+    calls = []
+    real = algorithm.simulate
+    monkeypatch.setattr(validation, "_TRIAL_BLOCK_SIZE", batch * per_trial)
+    monkeypatch.setattr(algorithm, "simulate", lambda *a, **k: calls.append(len(a[3])) or real(*a, **k))
+    np.testing.assert_array_equal(validation.run_trials(prob, cfg, n_steps=30, n_trials=20, seed=4), whole)
+    assert calls == [min(batch, 20 - lo) for lo in range(0, 20, batch)]
+
+
+def test_a_trial_is_a_per_step_loop_over_its_block_draws():
+    # trial i's row, recomputed step by step from its stream (seed, i) drawn
+    # channel by channel for the whole horizon: T uniforms, T*m eps, T*m xi, T*n noise
+    prob, cfg = weibull_instance()
+    n_steps, seed = 40, 8
+    d = validation.run_trials(prob, cfg, n_steps, n_trials=3, seed=seed)
+    G, H, costs, m = prob.plant.G, prob.plant.H, prob.costs, prob.n_inputs
+    opt = prob.optimal_points()
+    for i in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        u = rng.random(n_steps)
+        eps = cfg.eps_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+        xi = cfg.xi_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+        noise = cfg.meas_noise.sample(rng, n_steps * G.shape[0]).reshape(n_steps, G.shape[0])
+        x = prob.boxes.midpoints[0]
+        row = [math.sqrt(sum((x - opt[0]) ** 2))]
+        for t in range(1, n_steps + 1):
+            # the kernel's sums, term by term in index order
+            y_hat = sum(x[j] * G[:, j] for j in range(m)) + (costs.w @ H.T)[t - 1] + noise[t - 1]
+            resid = y_hat - costs.y_ref[t]
+            tracking = sum(resid[k] * G[k] for k in range(G.shape[0]))
+            grad = costs.beta * tracking + (prob.u_gradient(x, t) + eps[t - 1]) + xi[t - 1]
+            if u[t - 1] < cfg.p:
+                x = x - cfg.alpha * grad
+            x = np.clip(x, prob.boxes.lower[t], prob.boxes.upper[t])
+            row.append(math.sqrt(sum((x - opt[t]) ** 2)))
+        np.testing.assert_array_equal(d[i], row)
+
+
 def test_expectation_check_passes_on_reference_instance():
     prob, cfg = static_instance()
     inputs = bounds.bound_inputs_from_problem(prob, cfg, 60, seed=21)
-    report = validation.validate_expectation_bound(prob, cfg, inputs, n_trials=100, seed=21)
+    d = validation.run_trials(prob, cfg, n_steps=60, n_trials=100, seed=21)
+    report = validation.validate_expectation_bound(d, inputs)
     assert len(report.checks) == 1
     check = report.checks[0]
     assert check.passed
@@ -53,22 +106,23 @@ def test_expectation_check_passes_on_reference_instance():
     assert check.statistic <= check.bound
     assert check.ratio > 1.0  # envelope is strictly loose on average
     with pytest.raises(ValueError, match="at least 100"):
-        validation.validate_expectation_bound(prob, cfg, inputs, 50, seed=21)
+        validation.validate_expectation_bound(d[:50], inputs)
+    with pytest.raises(ValueError, match="span t = 0 .. 60"):
+        validation.validate_expectation_bound(d[:, :-1], inputs)
 
 
 def test_hp_check_passes_on_reference_instance():
     prob, cfg = static_instance()
     inputs = bounds.bound_inputs_from_problem(prob, cfg, 40, seed=22)
-    report = validation.validate_hp_bound(
-        prob, cfg, inputs, n_trials=1000, deltas=(0.3,), check_times=(10, 40), seed=22,
-    )
+    d = validation.run_trials(prob, cfg, n_steps=40, n_trials=1000, seed=22)
+    report = validation.validate_hp_bound(d, inputs, deltas=(0.3,), check_times=(10, 40))
     assert [c.passed for c in report.checks] == [True, True]
     for check in report.checks:
         assert check.statistic <= check.bound
     with pytest.raises(ValueError, match="at least 1000"):
-        validation.validate_hp_bound(prob, cfg, inputs, 10, (0.3,), (10,), seed=22)
+        validation.validate_hp_bound(d[:10], inputs, (0.3,), (10,))
     with pytest.raises(ValueError, match="check times"):
-        validation.validate_hp_bound(prob, cfg, inputs, 1000, (0.3,), (0,), seed=22)
+        validation.validate_hp_bound(d, inputs, (0.3,), (0,))
 
 
 def test_moment_identity_check():

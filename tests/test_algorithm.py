@@ -289,14 +289,17 @@ def test_runs_sharing_a_generator_each_see_a_lone_run(n_steps, seeds, data):
         st.lists(st.integers(0, len(seeds) - 1), min_size=n_runs, max_size=n_runs), label="owner"
     )
     ps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_runs, max_size=n_runs), label="ps")
+    block = data.draw(st.booleans(), label="block_draws")  # either draw layout
     gens = [np.random.default_rng(s) for s in seeds]
-    batch = algorithm.simulate(prob, cfg, None, [gens[k] for k in owner], n_steps=n_steps, p=ps)
+    batch = algorithm.simulate(
+        prob, cfg, None, [gens[k] for k in owner], n_steps=n_steps, p=ps, block_draws=block,
+    )
     for traj, k, p in zip(batch, owner, ps):
         lone_rng = np.random.default_rng(seeds[k])
-        alone = algorithm.simulate(prob, replace(cfg, p=p), None, [lone_rng], n_steps)[0]
+        alone = algorithm.simulate(prob, replace(cfg, p=p), None, [lone_rng], n_steps, block_draws=block)[0]
         for name in ("x", "v", "d", "e_norm"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
-        # a shared generator advanced once per step, exactly as far as the lone one
+        # a shared generator advanced exactly as far as the lone one
         assert gens[k].bit_generator.state == lone_rng.bit_generator.state
 
 

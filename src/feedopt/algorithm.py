@@ -18,18 +18,11 @@ One kernel, :func:`simulate`, advances a batch of independent runs as an
 batch may mix runs whose model term is ``grad U_t + eps_t`` with one block
 of learned runs, whose model term a hook supplies.
 
-Randomness protocol: every generator is consumed exactly as a lone run
-would consume it, and the noise is drawn even on steps where no
-measurement arrives.  Two layouts exist, and the caller picks one:
-
-* per step (the default, used by the study): at each step, generator by
-  generator in first-seen order, one availability uniform, ``m`` eps,
-  ``m`` xi and ``n_out`` measurement-noise values;
-* whole horizon (``block_draws=True``, used by the validation trials):
-  before the first step, generator by generator in first-seen order, one
-  call per channel for all ``T`` steps, in the order ``T`` availability
-  uniforms, ``T*m`` eps, ``T*m`` xi and ``T*n_out`` noise values; step
-  ``t`` reads row ``t - 1`` of each block.
+Randomness protocol: before the first step, every generator, in
+first-seen order, draws each channel for the whole horizon in one call:
+``T`` availability uniforms, then ``T*m`` eps, ``T*m`` xi and ``T*n_out``
+measurement-noise values.  Step ``t`` reads row ``t - 1`` of each block, so
+the noise is drawn even for steps where no measurement arrives.
 
 Runs given the same generator object share its draws: the numbers are
 drawn once and handed to all of them, so each sees exactly what a lone run
@@ -117,40 +110,8 @@ def _rowsum(P):
     return total
 
 
-def _step_draws(cfg, streams, m, n_out):
-    """The per-step layout: ``draw(t)`` makes step ``t``'s draws, generator
-    by generator, and returns ``(u, eps, xi, noise)`` with one row per generator."""
-    u, noise = np.empty(len(streams)), np.empty((len(streams), n_out))
-    eps, xi = np.empty((len(streams), m)), np.empty((len(streams), m))
-
-    def draw(t):
-        for k, rng in enumerate(streams):
-            u[k] = rng.random()
-            eps[k] = cfg.eps_sampler.sample(rng, m)
-            xi[k] = cfg.xi_sampler.sample(rng, m)
-            noise[k] = cfg.meas_noise.sample(rng, n_out)
-        return u, eps, xi, noise
-
-    return draw
-
-
-def _horizon_draws(cfg, streams, n_steps, m, n_out):
-    """The whole-horizon layout: every generator draws each channel for all
-    ``n_steps`` steps now, in one call per channel; ``draw(t)`` reads step ``t``'s rows."""
-    u = np.empty((n_steps, len(streams)))
-    eps, xi = np.empty((n_steps, len(streams), m)), np.empty((n_steps, len(streams), m))
-    noise = np.empty((n_steps, len(streams), n_out))
-    for k, rng in enumerate(streams):
-        u[:, k] = rng.random(n_steps)
-        eps[:, k] = cfg.eps_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
-        xi[:, k] = cfg.xi_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
-        noise[:, k] = cfg.meas_noise.sample(rng, n_steps * n_out).reshape(n_steps, n_out)
-    return lambda t: (u[t - 1], eps[t - 1], xi[t - 1], noise[t - 1])
-
-
 def simulate(
     prob, cfg, x0, rngs, n_steps=None, p=None, input_grad=None, learned=None, after_step=None,
-    block_draws=False,
 ):
     """Advance ``R = len(rngs)`` independent runs together for ``n_steps`` steps.
 
@@ -168,8 +129,8 @@ def simulate(
     run's recorded error norm uses the hook's deviation from the true
     input-cost gradient.  ``after_step(t, X_t)`` is optionally invoked after
     every update with the ``(R, m)`` iterates of all runs (measurement
-    scheduling hooks live here).  ``block_draws`` picks the whole-horizon
-    draw layout over the per-step one (see the module docstring).
+    scheduling hooks live here).  The draws follow the module docstring's
+    whole-horizon layout.
 
     Returns one :class:`Trajectory` per run, in the order of ``rngs``.
     """
@@ -197,17 +158,20 @@ def simulate(
     streams = list({id(rng): rng for rng in rngs}.values())
     row_of = {id(rng): k for k, rng in enumerate(streams)}
     owner = np.array([row_of[id(rng)] for rng in rngs], dtype=np.intp)
-    if block_draws:
-        draw = _horizon_draws(cfg, streams, n_steps, m, n_out)
-    else:
-        draw = _step_draws(cfg, streams, m, n_out)
+    u = np.empty((n_steps, len(streams)))
+    eps, xi = np.empty((n_steps, len(streams), m)), np.empty((n_steps, len(streams), m))
+    noise = np.empty((n_steps, len(streams), n_out))
+    for k, rng in enumerate(streams):  # drawn regardless of availability
+        u[:, k] = rng.random(n_steps)
+        eps[:, k] = cfg.eps_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+        xi[:, k] = cfg.xi_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+        noise[:, k] = cfg.meas_noise.sample(rng, n_steps * n_out).reshape(n_steps, n_out)
+    avail = u[:, owner] < p  # (n_steps, R)
+    v[:, 1:] = avail.T
 
     for t in range(1, n_steps + 1):
         x_prev = x[:, t - 1]
-        u, eps, xi, noise = draw(t)  # drawn regardless of availability
-        xi_r = xi[owner]
-        avail = u[owner] < p
-        eps_r = eps[owner]
+        eps_r, xi_r = eps[t - 1, owner], xi[t - 1, owner]
         u_grad = prob.u_gradient(x_prev, t)
         model_term = u_grad + eps_r
         err = eps_r + xi_r
@@ -215,10 +179,9 @@ def simulate(
             model_term[learned] = input_grad(x_prev[learned], t)
             err[learned] = (model_term[learned] - u_grad[learned]) + xi_r[learned]
         e_norm[:, t] = np.sqrt(_rowsum(err**2))
-        y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise[owner]
+        y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise[t - 1, owner]
         grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi_r
-        v[:, t] = avail
-        x[:, t] = prob.project(np.where(avail[:, None], x_prev - cfg.alpha * grad, x_prev), t)
+        x[:, t] = prob.project(np.where(avail[t - 1, :, None], x_prev - cfg.alpha * grad, x_prev), t)
         if after_step is not None:
             after_step(t, x[:, t])
     # distances after the loop, in blocks of steps that bound the temporaries

@@ -117,10 +117,22 @@ def _as_config_error():
         raise ConfigError(str(exc)) from exc
 
 
-def _validation_setup(scen, val):
-    """Instance and algorithm config for validate-bounds / bound-curve.  A
-    ``ValueError`` from the instance build or from ``0 < alpha < 2/L`` is a
-    config error."""
+def _check_seed(args, seed, key):
+    """Raise ``ConfigError`` unless ``seed``, read from the config key ``key``
+    or from ``--seed`` when that is given, is a nonnegative integer."""
+    if seed < 0:
+        raise ConfigError(f"{key if args.seed is None else '--seed'} must be a nonnegative integer, got {seed}")
+
+
+def _validation_setup(args):
+    """Configs, instance, algorithm config and step count for validate-bounds /
+    bound-curve.  A negative seed they read, or a ``ValueError`` from the
+    instance build or from ``0 < alpha < 2/L``, is a config error."""
+    scen, val = load_config(args.config)
+    scen, val = with_seed(scen, val, args.seed)
+    _check_seed(args, val.seed, "[validation] seed")
+    if val.instance == "scenario":
+        _check_seed(args, scen.seed, "[suite] seed")
     with _as_config_error():
         if val.instance == "synthetic":
             prob, acfg = validation.synthetic_instance(
@@ -136,7 +148,7 @@ def _validation_setup(scen, val):
         n_steps = min(val.n_steps, prob.n_steps)  # a scenario's horizon caps the step count
         alpha = acfg.alpha if val.alpha is None else val.alpha
         prob.contraction_rates(alpha, n_steps)  # before the algorithm config takes alpha
-    return prob, replace(acfg, alpha=alpha), n_steps
+    return scen, val, prob, replace(acfg, alpha=alpha), n_steps
 
 
 def _dump_instance(path: str, scen, prob) -> None:
@@ -158,6 +170,7 @@ def _dump_instance(path: str, scen, prob) -> None:
 def _cmd_run_scenario(args) -> int:
     scen_file, val = load_config(args.config)
     scen, _ = with_seed(scen_file, val, args.seed)
+    _check_seed(args, scen.seed, "[suite] seed")
     names = ["config_echo.ini", "scenario_instance.json", "suite_summary.csv"]
     names += [
         _traj_name(p, mode, e)
@@ -189,9 +202,7 @@ def _cmd_run_scenario(args) -> int:
 
 
 def _cmd_validate_bounds(args) -> int:
-    scen, val = load_config(args.config)
-    scen, val = with_seed(scen, val, args.seed)
-    prob, acfg, n_steps = _validation_setup(scen, val)
+    scen, val, prob, acfg, n_steps = _validation_setup(args)
     with _as_config_error():  # every count, check time and moment grid value, before the ensemble
         validation.check_settings(val, n_steps)
     _prepare_out(args.out, ["config_echo.ini", "validation_report.csv"], args.overwrite)
@@ -227,9 +238,7 @@ def _cmd_validate_bounds(args) -> int:
 
 
 def _cmd_bound_curve(args) -> int:
-    scen, val = load_config(args.config)
-    scen, val = with_seed(scen, val, args.seed)
-    prob, acfg, n_steps = _validation_setup(scen, val)
+    scen, val, prob, acfg, n_steps = _validation_setup(args)
     ps = scen.p_values if val.instance == "scenario" else (val.p,)
     names = ["config_echo.ini"]
     for p in ps:
@@ -265,9 +274,11 @@ def _cmd_gp_demo(args) -> int:
     else:
         scen, val = load_config(args.config)
     scen, val = with_seed(scen, val, args.seed)
+    _check_seed(args, scen.seed, "[suite] seed")
+    with _as_config_error():  # the instance, before any output
+        prob = scenario.build_scenario(scen)
     _prepare_out(args.out, ["config_echo.ini", "gp_demo.csv"], args.overwrite)
     _echo_config(args.out, scen, val)
-    prob = scenario.build_scenario(scen)
     rng = np.random.default_rng(np.random.SeedSequence(scen.seed, spawn_key=(2,)))
     learner = scenario.seed_cost_learners(prob, scen, [rng])[0]  # the step-0 profile
     n_grid = 101

@@ -251,12 +251,14 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
     """The runs ``(mode, p, exp_index)``, exact and learned alike, advanced
     together as one batch.
 
-    The experiment index seeds two child streams: the main one drives the
-    starting point, the measurement pattern and the noise; a separate one
-    drives the cost evaluations for the learner, so ``exact`` and ``gp``
-    runs of the same experiment, at any ``p``, see identical sample paths.
-    The runs of one experiment, in both modes, share one main generator, so
-    the kernel draws its path once per step for all of them; each ``gp``
+    The experiment index seeds two child streams: the main one,
+    ``(seed, (1, e, 0))``, draws the starting point and then the kernel's
+    whole-horizon blocks (measurement pattern and noise); a separate one,
+    ``(seed, (1, e, 1))``, drives the cost evaluations for the learner, so
+    ``exact`` and ``gp`` runs of the same experiment, at any ``p``, see
+    identical sample paths.  The runs of one experiment, in both modes,
+    share one main generator, so the kernel draws its blocks once for all
+    of them; each ``gp``
     run has its own evaluation generator, which the learner draws from run
     by run, and ``exact`` runs have none.  The ``gp`` runs must be one block
     of consecutive runs, as they are in :func:`run_suite`'s mode-major order.

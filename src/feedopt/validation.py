@@ -171,7 +171,7 @@ def _trial_distances(prob, cfg, n_steps, seed, trials):
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for i in trials[lo : lo + width]
         ]
-        trajs = algorithm.simulate(prob, cfg, None, rngs, n_steps=n_steps, block_draws=True)
+        trajs = algorithm.simulate(prob, cfg, None, rngs, n_steps=n_steps)
         rows.extend(traj.d for traj in trajs)
     return rows
 
@@ -181,9 +181,9 @@ def run_trials(prob, cfg, n_steps, n_trials, seed, n_jobs=1) -> np.ndarray:
     each started at the step-0 box midpoint.
 
     Trial ``i`` draws from its own child stream ``(seed, i)``, each channel
-    for the whole horizon at once (``algorithm.simulate``'s ``block_draws``
-    layout).  Its row therefore depends on neither ``n_jobs`` nor the batch
-    of rows it is simulated in.
+    for the whole horizon at once (:mod:`feedopt.algorithm`'s layout).  Its
+    row therefore depends on neither ``n_jobs`` nor the batch of rows it is
+    simulated in.
     """
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")

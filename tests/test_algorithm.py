@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedopt import algorithm, problem, subweibull
+from tests_common import literal_run
 
 
 def static_problem(n_t=60, box=4.0):
@@ -193,33 +194,6 @@ def test_after_step_hook_sees_every_step():
     assert all(x.shape == (1, 2) for _, x in seen)
 
 
-def literal_run(prob, cfg, x0, rng, n_steps, input_grad=None):
-    """The update written out step by step from the schedule arrays, drawing
-    per step in the documented order: availability uniform, eps, xi, noise."""
-    G, H = prob.plant.G, prob.plant.H
-    costs, boxes = prob.costs, prob.boxes
-    opt = prob.optimal_points()
-    x = np.array(x0, dtype=float)
-    xs, vs, ds, es = [x], [0], [np.linalg.norm(x - opt[0])], [0.0]
-    for t in range(1, n_steps + 1):
-        u = rng.random()
-        eps = cfg.eps_sampler.sample(rng, G.shape[1])
-        xi = cfg.xi_sampler.sample(rng, G.shape[1])
-        noise = cfg.meas_noise.sample(rng, G.shape[0])
-        u_grad = 2.0 * costs.a[t] * x + costs.b[t]
-        model = u_grad + eps if input_grad is None else input_grad(x, t)
-        es.append(np.linalg.norm(model - u_grad + xi))
-        if u < cfg.p:
-            y_hat = G @ x + H @ costs.w[t - 1] + noise
-            grad = costs.beta * G.T @ (y_hat - costs.y_ref[t]) + model + xi
-            x = x - cfg.alpha * grad
-        x = np.clip(x, boxes.lower[t], boxes.upper[t])
-        xs.append(x)
-        vs.append(int(u < cfg.p))
-        ds.append(np.linalg.norm(x - opt[t]))
-    return np.array(xs), np.array(vs), np.array(ds), np.array(es)
-
-
 @pytest.mark.parametrize("learned", [False, True, "mixed"])
 def test_kernel_matches_a_literal_per_step_loop(learned):
     prob = drifting_problem()
@@ -240,10 +214,8 @@ def test_kernel_matches_a_literal_per_step_loop(learned):
             input_grad=hook if rows is not None and r in range(3)[rows] else None,
         )
         assert 0 < v.sum() < 50
-        np.testing.assert_array_equal(traj.v, v)
-        np.testing.assert_allclose(traj.x, x, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.d, d, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.e_norm, e, rtol=0, atol=1e-12)
+        for name, want in (("v", v), ("x", x), ("d", d), ("e_norm", e)):
+            np.testing.assert_array_equal(getattr(traj, name), want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -289,14 +261,11 @@ def test_runs_sharing_a_generator_each_see_a_lone_run(n_steps, seeds, data):
         st.lists(st.integers(0, len(seeds) - 1), min_size=n_runs, max_size=n_runs), label="owner"
     )
     ps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_runs, max_size=n_runs), label="ps")
-    block = data.draw(st.booleans(), label="block_draws")  # either draw layout
     gens = [np.random.default_rng(s) for s in seeds]
-    batch = algorithm.simulate(
-        prob, cfg, None, [gens[k] for k in owner], n_steps=n_steps, p=ps, block_draws=block,
-    )
+    batch = algorithm.simulate(prob, cfg, None, [gens[k] for k in owner], n_steps=n_steps, p=ps)
     for traj, k, p in zip(batch, owner, ps):
         lone_rng = np.random.default_rng(seeds[k])
-        alone = algorithm.simulate(prob, replace(cfg, p=p), None, [lone_rng], n_steps, block_draws=block)[0]
+        alone = algorithm.simulate(prob, replace(cfg, p=p), None, [lone_rng], n_steps)[0]
         for name in ("x", "v", "d", "e_norm"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
         # a shared generator advanced exactly as far as the lone one

@@ -159,7 +159,8 @@ def test_run_scenario_refuses_to_clobber(tmp_path, capsys):
 
 
 def test_seed_override_changes_results(tmp_path):
-    cfg = ini(tmp_path, TINY_SCENARIO)
+    # run-scenario does not read the [validation] seed, so a negative one changes nothing
+    cfg = ini(tmp_path, TINY_SCENARIO + "\n[validation]\nseed = -1\n")
     out1, out2 = tmp_path / "s7", tmp_path / "s8"
     assert cli.main(["run-scenario", "--config", cfg, "--out", str(out1)]) == 0
     assert cli.main(
@@ -197,7 +198,8 @@ def test_validate_bounds_report_is_the_same_at_any_jobs(tmp_path):
 
 
 def test_bound_curve_exports(tmp_path):
-    cfg = ini(tmp_path, "[validation]\nn_steps = 40\ncheck_times = 10, 40\n")
+    # the synthetic instance does not read the [suite] seed
+    cfg = ini(tmp_path, "[suite]\nseed = -1\n\n[validation]\nn_steps = 40\ncheck_times = 10, 40\n")
     out = tmp_path / "curves"
     assert cli.main(["bound-curve", "--config", cfg, "--out", str(out)]) == 0
     names = {f.name for f in out.iterdir()}
@@ -229,7 +231,9 @@ def test_bound_curve_on_one_step_keeps_the_default_check_times(tmp_path):
 
 def test_bad_validation_values_exit_one_before_any_work(tmp_path, capsys):
     # each fails where the config is loaded or, for what needs the step count,
-    # before validate-bounds simulates; no file is written and nothing warns
+    # before validate-bounds simulates; no file is written and nothing warns.
+    # A case's lines go under [validation] unless they open a section of their own.
+    seed = "must be a nonnegative integer, got -1"
     cases = (
         ("bound-curve", "deltas = 0.3, 1.5", "error: delta must lie in (0, 1), got 1.5"),
         ("bound-curve", "n_steps = 0", "error: validation n_steps must be at least 1, got 0"),
@@ -252,15 +256,27 @@ def test_bad_validation_values_exit_one_before_any_work(tmp_path, capsys):
         # the instance build rejects these, for both commands
         ("bound-curve", "n_inputs = 0", "error: the synthetic instance needs at least one input, got 0"),
         ("bound-curve", "error_scale = -1", "error: sampler scale must be nonnegative, got -1.0"),
-        ("bound-curve", "seed = -1", "error: expected non-negative integer"),
         ("bound-curve", "drift = nan", "error: cost schedule y_ref must be finite, got nan"),
         ("validate-bounds", "drift = nan", "error: cost schedule y_ref must be finite, got nan"),
+        # and for the study's commands, before either writes
+        ("gp-demo", "[costs]\na_range_one = 0, 0", "error: cost at step 0 is not strongly convex"),
+        ("run-scenario", "[costs]\na_range_one = 0, 0", "error: cost at step 0 is not strongly convex"),
+        # a negative seed names the key each command reads it from, or --seed
+        ("bound-curve", "seed = -1", f"error: [validation] seed {seed}"),
+        ("validate-bounds", "seed = -1", f"error: [validation] seed {seed}"),
+        ("bound-curve", "[suite]\nseed = -1\n[validation]\ninstance = scenario", f"error: [suite] seed {seed}"),
+        ("run-scenario", "[suite]\nseed = -1", f"error: [suite] seed {seed}"),
+        ("gp-demo", "[suite]\nseed = -1", f"error: [suite] seed {seed}"),
+        ("run-scenario --seed -1", "[suite]\nseed = 7", f"error: --seed {seed}"),
+        ("gp-demo --seed -1", "[suite]\nseed = 7", f"error: --seed {seed}"),
+        ("validate-bounds --seed -1", "seed = 7", f"error: --seed {seed}"),
     )
     for command, lines, message in cases:
-        cfg = ini(tmp_path, f"[validation]\n{lines}\n", name="bad.ini")
+        text = lines if lines.startswith("[") else f"[validation]\n{lines}"
+        cfg = ini(tmp_path, text + "\n", name="bad.ini")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+            assert cli.main([*command.split(), "--config", cfg, "--out", str(tmp_path / "b")]) == 1
         err = capsys.readouterr().err
         assert message in err, (lines, err)
         assert not caught and "Warning" not in err
@@ -268,7 +284,8 @@ def test_bad_validation_values_exit_one_before_any_work(tmp_path, capsys):
 
 
 def test_gp_demo(tmp_path, capsys):
-    cfg = ini(tmp_path, TINY_SCENARIO)
+    # gp-demo does not read the [validation] seed
+    cfg = ini(tmp_path, TINY_SCENARIO + "\n[validation]\nseed = -1\n")
     out = tmp_path / "demo"
     assert cli.main(["gp-demo", "--config", cfg, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out

@@ -28,6 +28,7 @@ RULE_MESSAGES = {
     "tail exponent must be positive": 1,
     "moment order must satisfy": 1,
     "dimension must be at least 1": 1,
+    "must be a nonnegative integer": 1,
 }
 
 

@@ -4,7 +4,6 @@ Full-scale dominance runs live in test_acceptance.py; these stay at the
 smallest sample sizes the harness accepts.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 
 from feedopt import algorithm, bounds, subweibull, validation
 from feedopt.validation import ValidationCheck, ValidationReport
-from tests_common import static_instance
+from tests_common import literal_run, static_instance
 
 
 def test_run_trials_shape_and_determinism():
@@ -62,32 +61,14 @@ def test_run_trials_rows_do_not_depend_on_the_batch(monkeypatch, batch):
 
 
 def test_a_trial_is_a_per_step_loop_over_its_block_draws():
-    # trial i's row, recomputed step by step from its stream (seed, i) drawn
-    # channel by channel for the whole horizon: T uniforms, T*m eps, T*m xi, T*n noise
+    # trial i's row, recomputed step by step from the box midpoint with its
+    # stream (seed, i) drawn channel by channel for the whole horizon
     prob, cfg = weibull_instance()
     n_steps, seed = 40, 8
     d = validation.run_trials(prob, cfg, n_steps, n_trials=3, seed=seed)
-    G, H, costs, m = prob.plant.G, prob.plant.H, prob.costs, prob.n_inputs
-    opt = prob.optimal_points()
     for i in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        u = rng.random(n_steps)
-        eps = cfg.eps_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
-        xi = cfg.xi_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
-        noise = cfg.meas_noise.sample(rng, n_steps * G.shape[0]).reshape(n_steps, G.shape[0])
-        x = prob.boxes.midpoints[0]
-        row = [math.sqrt(sum((x - opt[0]) ** 2))]
-        for t in range(1, n_steps + 1):
-            # the kernel's sums, term by term in index order
-            y_hat = sum(x[j] * G[:, j] for j in range(m)) + (costs.w @ H.T)[t - 1] + noise[t - 1]
-            resid = y_hat - costs.y_ref[t]
-            tracking = sum(resid[k] * G[k] for k in range(G.shape[0]))
-            grad = costs.beta * tracking + (prob.u_gradient(x, t) + eps[t - 1]) + xi[t - 1]
-            if u[t - 1] < cfg.p:
-                x = x - cfg.alpha * grad
-            x = np.clip(x, prob.boxes.lower[t], prob.boxes.upper[t])
-            row.append(math.sqrt(sum((x - opt[t]) ** 2)))
-        np.testing.assert_array_equal(d[i], row)
+        np.testing.assert_array_equal(d[i], literal_run(prob, cfg, prob.boxes.midpoints[0], rng, n_steps)[2])
 
 
 def test_expectation_check_passes_on_reference_instance():

@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand for the test suite."""
 
+import math
+
 import numpy as np
 
 from feedopt import algorithm, problem, subweibull
@@ -37,6 +39,46 @@ def static_instance(n_t=101, silent=False, p=0.7):
         eps_sampler=eps, xi_sampler=xi, meas_noise=noise,
     )
     return prob, cfg
+
+
+def literal_run(prob, cfg, x0, rng, n_steps, input_grad=None):
+    """``(x, v, d, e_norm)`` of one run, the update written out step by step
+    from the schedule arrays with the kernel's sums term by term in index
+    order.  ``rng`` draws each channel for the whole horizon first, in the
+    documented order: ``T`` availability uniforms, ``T*m`` eps, ``T*m`` xi and
+    ``T*n_out`` noise values; step ``t`` reads row ``t - 1``."""
+    G, costs, boxes = prob.plant.G, prob.costs, prob.boxes
+    n_out, m = G.shape
+    u = rng.random(n_steps)
+    eps = cfg.eps_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+    xi = cfg.xi_sampler.sample(rng, n_steps * m).reshape(n_steps, m)
+    noise = cfg.meas_noise.sample(rng, n_steps * n_out).reshape(n_steps, n_out)
+    hw = costs.w @ prob.plant.H.T
+    opt = prob.optimal_points()
+
+    def norm(z):
+        return math.sqrt(sum(z**2))
+
+    x = np.array(x0, dtype=float)
+    xs, vs, ds, es = [x], [0], [norm(x - opt[0])], [0.0]
+    for t in range(1, n_steps + 1):
+        u_grad = 2.0 * costs.a[t] * x + costs.b[t]
+        if input_grad is None:
+            model, err = u_grad + eps[t - 1], eps[t - 1] + xi[t - 1]
+        else:
+            model = input_grad(x, t)
+            err = (model - u_grad) + xi[t - 1]
+        if u[t - 1] < cfg.p:
+            y_hat = sum(x[j] * G[:, j] for j in range(m)) + hw[t - 1] + noise[t - 1]
+            resid = y_hat - costs.y_ref[t]
+            grad = costs.beta * sum(resid[k] * G[k] for k in range(n_out)) + model + xi[t - 1]
+            x = x - cfg.alpha * grad
+        x = np.clip(x, boxes.lower[t], boxes.upper[t])
+        xs.append(x)
+        vs.append(int(u[t - 1] < cfg.p))
+        ds.append(norm(x - opt[t]))
+        es.append(norm(err))
+    return np.array(xs), np.array(vs), np.array(ds), np.array(es)
 
 
 def from_dict(payload):

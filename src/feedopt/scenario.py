@@ -258,10 +258,10 @@ def run_experiments(prob, cfg: ScenarioConfig, runs):
     ``exact`` and ``gp`` runs of the same experiment, at any ``p``, see
     identical sample paths.  The runs of one experiment, in both modes,
     share one main generator, so the kernel draws its blocks once for all
-    of them; each ``gp``
-    run has its own evaluation generator, which the learner draws from run
-    by run, and ``exact`` runs have none.  The ``gp`` runs must be one block
-    of consecutive runs, as they are in :func:`run_suite`'s mode-major order.
+    of them; each ``gp`` run has its own evaluation generator, which the
+    learner draws from run by run, and ``exact`` runs have none.  The ``gp``
+    runs must be one block of consecutive runs, as they are in
+    :func:`run_suite`'s mode-major order.
 
     Every ``gp`` run has its own GPs, one per coordinate, held in one
     learner of batch ``(R_gp, m)`` over the ``gp`` runs.  The owners signal

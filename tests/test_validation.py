@@ -60,7 +60,7 @@ def test_run_trials_rows_do_not_depend_on_the_batch(monkeypatch, batch):
     assert calls == [min(batch, 20 - lo) for lo in range(0, 20, batch)]
 
 
-def test_a_trial_is_a_per_step_loop_over_its_block_draws():
+def test_a_trial_is_a_per_step_loop_over_its_whole_horizon_draws():
     # trial i's row, recomputed step by step from the box midpoint with its
     # stream (seed, i) drawn channel by channel for the whole horizon
     prob, cfg = weibull_instance()

@@ -72,7 +72,7 @@ def _verdict(ok):
     return "pass" if ok else "FAIL"
 
 
-def table_row(seed, n_jobs=1):
+def table_row(seed):
     """One Markdown table row: the default study at ``seed``."""
     cfg = replace(scenario.ScenarioConfig(), seed=seed)
     prob = scenario.build_scenario(cfg)
@@ -85,7 +85,7 @@ def table_row(seed, n_jobs=1):
             for s in cfg.switch_steps:
                 jump[mode, s] = jump.get((mode, s), 0.0) + np.linalg.norm(traj.x[s - 1] - opt[s]) / cfg.n_experiments
 
-    result = scenario.run_suite(cfg, prob=prob, n_jobs=n_jobs, trajectory_sink=sink)
+    result = scenario.run_suite(cfg, prob=prob, trajectory_sink=sink)
     gap_ok, gap = learned_gap(result)
     cells = [str(seed)]
     cells += [_verdict(plateau_ordering(cfg, result, mode)[0]) for mode in ("exact", "gp")]
@@ -100,7 +100,6 @@ def table_row(seed, n_jobs=1):
 def main(argv=None):
     parser = argparse.ArgumentParser(description="criterion 7 of the default study, per seed")
     parser.add_argument("seeds", nargs="+", type=int)
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes per study (default 1)")
     args = parser.parse_args(argv)
     switches = scenario.ScenarioConfig().switch_steps
     head = ["seed", "7a exact", "7a gp", "7b gap", "7c exact", "7c gp"]
@@ -108,7 +107,7 @@ def main(argv=None):
     print("| " + " | ".join(head) + " |")
     print("|" + "---|" * len(head))
     for seed in args.seeds:
-        print(table_row(seed, args.jobs), flush=True)
+        print(table_row(seed), flush=True)
 
 
 if __name__ == "__main__":

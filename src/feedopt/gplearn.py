@@ -22,10 +22,13 @@ derivative
 which is what the online update consumes in place of the true gradient of
 ``u``.  No finite differencing is involved.
 
-One :class:`GPPosterior` holds a batch of independent scalar GPs, e.g. one
-per run and coordinate.  Sums over the sites run elementwise in a fixed
-order (``algorithm._rowsum``), not through BLAS products, so each GP's
-numbers are the same as when it is built and queried alone.
+Each GP factorises ``K + noise_var I = L L^T`` on its own, with its own
+jitter; ``c = L^-T L^-1 z`` and the variance reduction ``|L^-1 k_q(x)|^2``
+follow by substitution (Rasmussen & Williams 2006, Algorithm 2.1).  One
+:class:`GPPosterior` holds a batch of independent scalar GPs, e.g. one per
+run and coordinate, and substitutes for the whole batch at once, summing
+over the sites elementwise in a fixed order (``algorithm._rowsum``), not
+through BLAS products, so each GP's numbers are the same as when it is alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .algorithm import _rowsum
 
@@ -90,16 +92,17 @@ class GPPosterior:
             np.broadcast_to(np.asarray(h, dtype=float), self.batch_shape)[..., None]
             for h in (kernel.sigma_f2, kernel.ell)
         )
-        # one refit per GP of the flattened batch; with no sites each GP is its
-        # prior, and nothing is factorised
+        # one factorisation per GP of the flattened batch; with no sites each GP
+        # is its prior, and nothing is factorised
         n_gp, q = int(np.prod(self.batch_shape)), self.n_obs
-        sites, values = self.sites.reshape(n_gp, q), self.values.reshape(n_gp, q)
-        self._factors, coeffs = np.empty((n_gp, q, q)), np.empty((n_gp, q))
+        sites, factors = self.sites.reshape(n_gp, q), np.empty((n_gp, q, q))
         for i, (s, sf2, ell) in enumerate(zip(sites, self._sf2.flat, self._ell.flat) if q else ()):
             gram = _se(sf2, ell, s[:, None] - s[None, :])
-            self._factors[i] = _robust_cholesky(gram, self.noise_var, sf2)
-            coeffs[i] = cho_solve((self._factors[i], True), values[i])
-        self._coeffs = coeffs.reshape(self.sites.shape)
+            factors[i] = _robust_cholesky(gram, self.noise_var, sf2)
+        self._factors = factors.reshape(self.batch_shape + (q, q))
+        # c = L^-T (L^-1 z); L^T with both axes reversed is lower triangular
+        flipped = np.swapaxes(self._factors, -1, -2)[..., ::-1, ::-1]
+        self._coeffs = _forward(flipped, _forward(self._factors, self.values)[..., ::-1])[..., ::-1]
 
     @property
     def n_obs(self) -> int:
@@ -117,7 +120,7 @@ class GPPosterior:
         return GPPosterior(self.kernel, self.noise_var, sites, values)
 
     def _lift(self, xs):
-        """Queries and the per-GP arrays aligned as ``batch + query + (q or 1,)``."""
+        """Queries and the per-GP arrays aligned as ``batch + query + own axes``."""
         xs = np.asarray(xs, dtype=float)
         n_batch = len(self.batch_shape)
         if xs.shape[:n_batch] != self.batch_shape:
@@ -125,27 +128,37 @@ class GPPosterior:
                 f"queries must start with the batch shape {self.batch_shape}, got {xs.shape}"
             )
         lead = self.batch_shape + (1,) * (xs.ndim - n_batch)
-        sites, coeffs, sf2, ell = (
-            a.reshape(lead + a.shape[-1:]) for a in (self.sites, self._coeffs, self._sf2, self._ell)
+        sites, coeffs, sf2, ell, factors = (
+            a.reshape(lead + a.shape[n_batch:])
+            for a in (self.sites, self._coeffs, self._sf2, self._ell, self._factors)
         )
-        return xs, sites - xs[..., None], coeffs, sf2, ell
+        return sites - xs[..., None], coeffs, sf2, ell, factors
 
     def posterior_mean(self, xs):
-        xs, diff, coeffs, sf2, ell = self._lift(xs)
+        diff, coeffs, sf2, ell, _ = self._lift(xs)
         return _rowsum(_se(sf2, ell, diff) * coeffs)[()]
 
     def posterior_var(self, xs):
-        xs, diff, _, sf2, ell = self._lift(xs)
-        n_gp, q = self._factors.shape[:2]
-        cross = _se(sf2, ell, diff).reshape(n_gp, xs.size // max(n_gp, 1), q)
-        reduction = [_rowsum(k * cho_solve((f, True), k.T).T) for f, k in zip(self._factors, cross)]
+        diff, _, sf2, ell, factors = self._lift(xs)
+        v = _forward(factors, _se(sf2, ell, diff))
         # clamp the numerical negatives
-        return np.maximum(sf2[..., 0] - np.reshape(reduction, xs.shape), 0.0)[()]
+        return np.maximum(sf2[..., 0] - _rowsum(v * v), 0.0)[()]
 
     def mean_gradient(self, xs):
         """Exact derivative of each GP's posterior mean at its query point(s)."""
-        xs, diff, coeffs, sf2, ell = self._lift(xs)
+        diff, coeffs, sf2, ell, _ = self._lift(xs)
         return _rowsum(_se(sf2, ell, diff) * (diff / ell**2) * coeffs)[()]
+
+
+def _forward(L, b):
+    """``L^-1 b`` along the last axis of ``b`` for lower triangular ``L`` (leading axes
+    broadcast); row ``i`` sums ``L_ij y_j`` in ascending ``j``, as ``_rowsum`` does."""
+    y = np.empty(np.broadcast_shapes(L.shape[:-1], b.shape))
+    sums = np.zeros(y.shape)
+    for i in range(y.shape[-1]):
+        y[..., i] = (b[..., i] - sums[..., i]) / L[..., i, i]
+        sums[..., i + 1 :] += L[..., i + 1 :, i] * y[..., i, None]
+    return y
 
 
 def _robust_cholesky(gram: np.ndarray, noise_var: float, sigma_f2: float) -> np.ndarray:
@@ -153,7 +166,7 @@ def _robust_cholesky(gram: np.ndarray, noise_var: float, sigma_f2: float) -> np.
     eye = np.eye(gram.shape[0])
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
-            return cho_factor(gram + (noise_var + jitter * sigma_f2) * eye, lower=True)[0]
+            return np.linalg.cholesky(gram + (noise_var + jitter * sigma_f2) * eye)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "SubWeibull",
@@ -59,18 +58,6 @@ class SubWeibull:
             raise ValueError(f"moment order must satisfy k >= 1, got {k}")
         out = self.nu * k**self.theta
         return float(out) if out.ndim == 0 else out
-
-    def include(self, theta2: float, nu2: float) -> "SubWeibull":
-        """Restate the certificate with looser parameters.
-
-        Only widening is sound: ``theta2 >= theta`` and ``nu2 >= nu``.
-        """
-        if theta2 < self.theta or nu2 < self.nu:
-            raise ValueError(
-                "inclusion can only widen a certificate: need "
-                f"theta2 >= {self.theta} and nu2 >= {self.nu}"
-            )
-        return SubWeibull(theta2, nu2)
 
     def scale(self, a: float) -> "SubWeibull":
         """Certificate of ``a * X``."""
@@ -236,13 +223,18 @@ def weibull_tail(theta: float, scale: float) -> ErrorSampler:
     and ``h'(x) = x psi'(1+x) - 1 < 0``, because
     ``psi'(1+x) = sum_{n>=1} (n+x)^-2 < int_0^oo (t+x)^-2 dt = 1/x``; so
     ``h < 0`` for ``x > 0`` and the ratio decreases in ``k`` (Vladimirova et
-    al., "Sub-Weibull distributions", Stat, 2020, give the moment form).  ``Gamma(1 + theta)``
-    is evaluated as ``exp(lnGamma(1 + theta))``, the log-ratio at ``k = 1``
-    exactly; ``math.gamma`` can differ from it in the last bit.
+    al., "Sub-Weibull distributions", Stat, 2020, give the moment form).
+    ``math.gamma`` is exact at integer ``theta`` up to 22; past ~170 it overflows.
     """
-    _check_scale(scale)  # theta meets the certificate's own rule
-    unit_nu = float(np.exp(gammaln(1.0 + float(theta))))
-    return ErrorSampler(_WEIBULL, float(scale), SubWeibull(float(theta), float(scale) * unit_nu))
+    _check_scale(scale)
+    cert = SubWeibull(float(theta), float(scale))  # the rule on theta, before Gamma reads it
+    try:
+        gamma = math.gamma(1.0 + cert.theta)
+    except OverflowError:
+        gamma = math.inf
+    if not math.isfinite(gamma):
+        raise ValueError(f"Gamma(1 + theta) is not finite at theta={cert.theta}")
+    return ErrorSampler(_WEIBULL, float(scale), cert.scale(gamma))
 
 
 def zero() -> ErrorSampler:

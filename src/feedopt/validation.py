@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
-from scipy.special import bdtr, gammaln
 
 from . import algorithm, bounds, problem, subweibull
 from ._table import write_csv
@@ -90,15 +89,15 @@ class ValidationReport:
 
 def _binom_quantile(n: int, delta: float) -> int:
     """The 99% quantile of ``Binomial(n, delta)``: the smallest ``k`` with
-    ``P[X <= k] >= 0.99``, found by bisection on ``[0, n]``."""
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bdtr(mid, n, delta) >= 0.99:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    ``P[X <= k] >= 0.99``, summing the pmf over the mean +- (40 sd + 1), from
+    ``math.lgamma`` at the window's left end by the log ratios of neighbours."""
+    half = 40.0 * math.sqrt(n * delta * (1.0 - delta)) + 1.0
+    lo, hi = max(0, math.floor(n * delta - half)), min(n, math.ceil(n * delta + half))
+    log_odds = math.log(delta) - math.log1p(-delta)
+    log_lo = math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(n - lo + 1) + lo * log_odds
+    steps = np.log(np.arange(n - lo, n - hi, -1) / np.arange(lo + 1.0, hi + 1.0)) + log_odds
+    log_pmf = n * math.log1p(-delta) + np.concatenate([[log_lo], log_lo + np.cumsum(steps)])
+    return lo + int(np.argmax(np.cumsum(np.exp(log_pmf)) >= 0.99))
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +261,17 @@ def _tilted_moment_estimate(zeta, p, t, k, n_samples, rng):
     counts far below the binomial mean, where plain sampling essentially
     never lands (a 20-sigma event on the worst grid cells).  Samples are
     drawn instead from a binomial matched to the mode of the summand
-    ``C(t,n) p^n (1-p)^(t-n) zeta^(kn)`` (located numerically) and
-    reweighted by the density ratio, which keeps the estimator unbiased
-    with bounded relative variance on every cell.  Returns ``(estimate,
-    std error of the k-th raw moment)``.
+    ``C(t,n) p^n (1-p)^(t-n) zeta^(kn)``, a multiple of the ``Bin(t, r)`` pmf
+    with ``r = p zeta^k / (1 - p + p zeta^k)`` and so peaked at
+    ``floor((t + 1) r)`` (the upper mode where two tie), and reweighted by the
+    density ratio, which keeps the estimator unbiased with bounded relative
+    variance on every cell.  Returns ``(estimate, std error of the k-th raw moment)``.
     """
     if p >= 1.0:
         # every step updates, Omega = t deterministically
         return zeta ** float(t), 0.0
-    ns = np.arange(t + 1)
-    log_summand = (
-        gammaln(t + 1) - gammaln(ns + 1) - gammaln(t - ns + 1)
-        + ns * (math.log(p) + k * math.log(zeta))
-        + (t - ns) * math.log1p(-p)
-    )
-    peak = int(np.argmax(log_summand))
+    r = p * zeta**k / (1.0 - p + p * zeta**k)
+    peak = min(int((t + 1) * r), t)
     q = min(max(peak, 1), t - 1) / t if t >= 2 else 0.5
     draws = rng.binomial(t, q, n_samples)
     log_weight = draws * (math.log(p) - math.log(q)) + (t - draws) * (

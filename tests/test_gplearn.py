@@ -58,6 +58,20 @@ def test_single_observation_closed_form():
     assert gp.mean_gradient(x) == pytest.approx(expected_grad, rel=1e-12)
 
 
+def test_posterior_matches_the_dense_solve():
+    # the substitutions against mean = k^T (K + s I)^-1 z and var = k(x, x) - k^T (K + s I)^-1 k
+    rng = np.random.default_rng(5)
+    for n_obs in (2, 5, 12):
+        gp = random_posterior(rng, n_obs, noise_var=0.05)
+        xs = rng.uniform(-2.5, 2.5, 7)
+        gram = kernel(gp.sites[:, None], gp.sites[None, :]) + 0.05 * np.eye(n_obs)
+        cross = kernel(gp.sites[:, None], xs[None, :])
+        mean = cross.T @ np.linalg.solve(gram, gp.values)
+        np.testing.assert_allclose(gp.posterior_mean(xs), mean, rtol=1e-10)
+        reduction = np.sum(cross * np.linalg.solve(gram, cross), axis=0)
+        np.testing.assert_allclose(gp.posterior_var(xs), 2.0 - reduction, rtol=1e-10)
+
+
 def test_noiseless_interpolation_at_sites():
     rng = np.random.default_rng(10)
     for _ in range(5):
@@ -125,7 +139,7 @@ def test_empty_posterior_factorises_nothing(monkeypatch):
     def no_factor(*args, **kwargs):
         raise AssertionError("an empty posterior factorised a Gram matrix")
 
-    monkeypatch.setattr(gplearn, "cho_factor", no_factor)
+    monkeypatch.setattr(gplearn.np.linalg, "cholesky", no_factor)
     gp = gplearn.GPPosterior(KER, 0.1)
     assert gp.n_obs == 0
     assert gp.posterior_mean(0.3) == 0.0 and gp.mean_gradient(0.3) == 0.0
@@ -150,14 +164,24 @@ def test_posterior_validation():
     n_added=st.integers(0, 2),
     max_obs=st.one_of(st.none(), st.integers(2, 8)),
     n_queries=st.integers(1, 3),
+    duplicated=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_gps_equal_the_same_gps_alone(batch, n_seed, n_added, max_obs, n_queries, seed):
+def test_batched_gps_equal_the_same_gps_alone(
+    batch, n_seed, n_added, max_obs, n_queries, duplicated, seed
+):
     # q runs over 0..12 sites; each GP has its own hyperparameters and data
     rng = np.random.default_rng(seed)
-    kernel = gplearn.SquaredExponential(rng.uniform(0.5, 4.0, batch), rng.uniform(0.3, 2.0, batch))
+    sigma_f2, ell = np.array(rng.uniform(0.5, 4.0, batch)), rng.uniform(0.3, 2.0, batch)
     noise_var = float(rng.uniform(1e-4, 0.3))
     sites = rng.uniform(-3.0, 3.0, batch + (n_seed,))
+    if duplicated and n_seed >= 2:
+        # the first GP repeats a site without noise; at unit signal variance its
+        # second pivot is exactly 0, so only a jitter factorises its Gram matrix
+        first = (0,) * len(batch)
+        noise_var, sigma_f2[first] = 0.0, 1.0
+        sites[first + (1,)] = sites[first + (0,)]
+    kernel = gplearn.SquaredExponential(sigma_f2, ell)
     values = np.sin(sites) + 0.3 * sites**2 + rng.standard_normal(sites.shape)
     added = rng.uniform(-3.0, 3.0, (n_added, 2) + batch)
     learner = gplearn.GPPosterior(kernel, noise_var, sites, values)

@@ -29,6 +29,7 @@ RULE_MESSAGES = {
     "moment order must satisfy": 1,
     "dimension must be at least 1": 1,
     "must be a nonnegative integer": 1,
+    "is not finite at theta": 1,
 }
 
 

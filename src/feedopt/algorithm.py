@@ -31,12 +31,15 @@ different ``p`` therefore share one underlying sample path, and their
 availability indicators are monotone in ``p`` (v coupling), which makes
 cross-``p`` comparisons well paired.
 
-The batch arithmetic is row-independent: products with the plant matrix
-and norms are summed elementwise in a fixed order rather than by a BLAS
-product over the batch, whose rounding can depend on the batch size and a
-row's position in it.  A run's numbers are therefore the same whichever
-runs share its batch, and outputs do not depend on how :func:`fan_out`
-splits the runs over worker processes.
+The batch arithmetic is row-independent: every sum over coordinates (the
+plant products ``G x`` and ``G^T (y_hat - yref)``, the error norms and the
+distances) adds its terms one at a time in index order,
+``((P_0 + P_1) + P_2) + ...``, never through a BLAS product or NumPy's
+pairwise summation, whose rounding can depend on the batch size and a row's
+position in it.  :func:`_slice_sum` does this with one ``np.add.reduce``
+over an axis laid out outermost in memory.  A run's numbers are therefore
+the same whichever runs share its batch, and outputs do not depend on how
+:func:`fan_out` splits the runs over worker processes.
 """
 
 from __future__ import annotations
@@ -99,15 +102,28 @@ class Trajectory:
         write_csv(path, header, (np.arange(self.x.shape[0]), self.v, self.d, self.e_norm, *self.x.T))
 
 
-_D_BLOCK_SIZE = 2**15  # numbers per block of the distance pass (256 KB)
+_BLOCK_SIZE = 2**15  # numbers per block of the norm passes (256 KB)
 
 
-def _rowsum(P):
-    """Sum over the last axis in a fixed order, so no row depends on the batch."""
-    total = P[..., 0] if P.shape[-1] else np.zeros(P.shape[:-1])
-    for j in range(1, P.shape[-1]):
-        total = total + P[..., j]
-    return total
+def _blocks(n_steps, per_step):
+    """Slices of ``range(n_steps)`` that hold about ``_BLOCK_SIZE`` numbers each."""
+    width = max(1, _BLOCK_SIZE // max(1, per_step))
+    return [slice(lo, lo + width) for lo in range(0, n_steps, width)]
+
+
+def _slice_sum(P):
+    """``P[0] + P[1] + ...`` added whole slice by whole slice in index order, so
+    every element is bit for bit the left-to-right loop (zeros when ``P`` is empty).
+
+    ``np.add.reduce`` adds slices in that order when the summed axis is
+    outermost in memory and each slice holds more than one number; along the
+    innermost axis it sums pairwise from 8 terms.  ``initial=-0.0`` keeps the
+    sign of an all-``-0.0`` sum, which NumPy's own start value ``+0.0`` would lose.
+    """
+    P = np.ascontiguousarray(P)
+    if P.size == len(P):  # one number per slice, or none: accumulate is sequential
+        return np.add.accumulate(P, axis=0)[-1] if len(P) else np.zeros(P.shape[1:])
+    return np.add.reduce(P, axis=0, initial=-0.0)
 
 
 def simulate(
@@ -141,13 +157,15 @@ def simulate(
     if x0.shape not in ((m,), (n_runs, m)):
         raise ValueError(f"starting point must have shape ({m},) or ({n_runs}, {m}), got {x0.shape}")
     x0 = np.broadcast_to(x0, (n_runs, m))
-    if np.any(np.sqrt(_rowsum((prob.project(x0, 0) - x0) ** 2)) > 1e-9):
+    if np.any(np.sqrt(_slice_sum(((prob.project(x0, 0) - x0) ** 2).T)) > 1e-9):
         raise ValueError("starting point is infeasible for the step-0 box")
     p = np.broadcast_to(check_availability(cfg.p if p is None else p), (n_runs,))
     if (input_grad is None) != (learned is None) or not isinstance(learned, (slice, type(None))):
         raise ValueError("input_grad comes with learned, one slice of runs")
 
     G, beta, y_ref = prob.plant.G, prob.costs.beta, prob.costs.y_ref
+    a2, b = 2.0 * prob.costs.a, prob.costs.b  # the input-cost gradient is a2[t] x + b[t]
+    lower, upper, alpha = prob.boxes.lower, prob.boxes.upper, cfg.alpha
     hw = prob.costs.w @ prob.plant.H.T  # disturbance part of the output, per step
     optima = prob.optimal_points()[: n_steps + 1]
     x = np.empty((n_runs, n_steps + 1, m))
@@ -168,28 +186,37 @@ def simulate(
         noise[:, k] = cfg.meas_noise.sample(rng, n_steps * n_out).reshape(n_steps, n_out)
     avail = u[:, owner] < p  # (n_steps, R)
     v[:, 1:] = avail.T
+    avail = avail[:, :, None]
+    # |eps + xi| of each step and stream, in blocks of steps; learned rows overwrite theirs
+    for rows in _blocks(n_steps, len(streams) * m):
+        err = np.add(np.moveaxis(eps[rows], -1, 0), np.moveaxis(xi[rows], -1, 0), order="C")
+        e_norm[:, 1:][:, rows] = np.sqrt(_slice_sum(np.square(err, out=err)))[:, owner].T
+    # the plant products, summed axis first: gx[j, r, i] = x_rj G_ij, gr[i, r, j] = resid_ri G_ij
+    gx, gr = np.empty((m, n_runs, n_out)), np.empty((n_out, n_runs, m))
+    G_x, G_r = G.T[:, None, :], G[:, None, :]
 
     for t in range(1, n_steps + 1):
         x_prev = x[:, t - 1]
         eps_r, xi_r = eps[t - 1, owner], xi[t - 1, owner]
-        u_grad = prob.u_gradient(x_prev, t)
+        u_grad = a2[t] * x_prev + b[t]
         model_term = u_grad + eps_r
-        err = eps_r + xi_r
         if input_grad is not None:
             model_term[learned] = input_grad(x_prev[learned], t)
-            err[learned] = (model_term[learned] - u_grad[learned]) + xi_r[learned]
-        e_norm[:, t] = np.sqrt(_rowsum(err**2))
-        y_hat = _rowsum(x_prev[:, None, :] * G) + hw[t - 1] + noise[t - 1, owner]
-        grad = beta * _rowsum((y_hat - y_ref[t])[:, None, :] * G.T) + model_term + xi_r
-        x[:, t] = prob.project(np.where(avail[t - 1, :, None], x_prev - cfg.alpha * grad, x_prev), t)
+            err = (model_term[learned] - u_grad[learned]) + xi_r[learned]
+            e_norm[learned, t] = np.sqrt(_slice_sum(np.square(err.T, order="C")))
+        np.multiply(x_prev.T[:, :, None], G_x, out=gx)
+        y_hat = _slice_sum(gx) + hw[t - 1] + noise[t - 1, owner]
+        np.multiply((y_hat - y_ref[t]).T[:, :, None], G_r, out=gr)
+        grad = beta * _slice_sum(gr) + model_term + xi_r
+        step = np.where(avail[t - 1], x_prev - alpha * grad, x_prev)
+        step.clip(lower[t], upper[t], out=x[:, t])  # the projection onto the step-t box
         if after_step is not None:
             after_step(t, x[:, t])
     # distances after the loop, in blocks of steps that bound the temporaries
     d = np.empty((n_runs, n_steps + 1))
-    width = max(1, _D_BLOCK_SIZE // max(1, n_runs * m))
-    for lo in range(0, n_steps + 1, width):
-        block = slice(lo, lo + width)
-        d[:, block] = np.sqrt(_rowsum((x[:, block] - optima[block]) ** 2))
+    for block in _blocks(n_steps + 1, n_runs * m):
+        diff = np.moveaxis(x[:, block] - optima[block], -1, 0)
+        d[:, block] = np.sqrt(_slice_sum(np.square(diff, order="C")))
     return [Trajectory(x[r], v[r], d[r], e_norm[r]) for r in range(n_runs)]
 
 

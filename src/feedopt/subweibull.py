@@ -98,21 +98,6 @@ class SubWeibull:
         t = self.theta
         return self.nu * math.log(2.0 / delta) ** t * (2.0 * math.e / t) ** t
 
-    def tail_prob_bound(self, eps: float) -> float:
-        """Upper bound on ``P[|X| >= eps]``:
-
-            2 * exp(-(eps / nu1)**(1/theta)),  nu1 = (2e/theta)**theta * nu.
-
-        Values above 1 are vacuous but returned as-is (the bound is 2 at
-        ``eps -> 0``).
-        """
-        if not eps > 0:
-            raise ValueError(f"threshold must be positive, got {eps}")
-        nu1 = (2.0 * math.e / self.theta) ** self.theta * self.nu
-        if nu1 == 0.0:
-            return 0.0  # degenerate X = 0
-        return 2.0 * math.exp(-((eps / nu1) ** (1.0 / self.theta)))
-
 
 def vector_norm_class(dim: int, eps_class: SubWeibull, xi_class: SubWeibull) -> SubWeibull:
     """Certificate for the Euclidean norm of a combined error in R^dim.

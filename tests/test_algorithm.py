@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from feedopt import algorithm, problem, subweibull
 from tests_common import literal_run
@@ -216,6 +217,63 @@ def test_kernel_matches_a_literal_per_step_loop(learned):
         assert 0 < v.sum() < 50
         for name, want in (("v", v), ("x", x), ("d", d), ("e_norm", e)):
             np.testing.assert_array_equal(getattr(traj, name), want)
+
+
+def wide_problem(n_out, m, n_t=41):
+    """``n_out`` outputs and ``m`` inputs, one of them 1, so a lone run's
+    plant sums have one number per slice, and the other at least 8, where
+    NumPy's pairwise summation would start."""
+    rng = np.random.default_rng(n_out * 100 + m)
+    G = rng.uniform(-0.3, 0.3, (n_out, m))
+    H = rng.uniform(0.5, 1.0, (n_out, 1))
+    y_ref = rng.uniform(-1.0, 1.0, (n_t, n_out))
+    a = rng.uniform(0.5, 1.0, (n_t, m))
+    b = rng.uniform(-0.5, 0.5, (n_t, m))
+    lower = np.full((n_t, m), -1.0)
+    return problem.TimeVaryingProblem(
+        problem.LinearPlantMap(G, H),
+        problem.BoxSchedule(lower, -lower),
+        problem.CostSchedule(1.0, y_ref, a, b, np.zeros((n_t, m)), np.full((n_t, 1), 0.1)),
+    )
+
+
+@pytest.mark.parametrize("n_out, m", [(1, 12), (12, 1)])
+@pytest.mark.parametrize("learned", [False, True])
+def test_a_lone_run_on_lone_columns_is_the_literal_loop(n_out, m, learned):
+    prob = wide_problem(n_out, m)
+    cfg = replace(noisy_config(), alpha=0.9 / float(prob.curvature_all()[1].max()))
+    hook = (lambda x, t: 1.1 * prob.u_gradient(x, t) + 0.05) if learned else None
+    rows = slice(0, 1) if learned else None
+    traj = lone_run(prob, cfg, 8, 40, input_grad=hook, learned=rows)
+    x0 = prob.boxes.midpoints[0]
+    x, v, d, e = literal_run(prob, cfg, x0, np.random.default_rng(8), 40, input_grad=hook)
+    for name, want in (("v", v), ("x", x), ("d", d), ("e_norm", e)):
+        np.testing.assert_array_equal(getattr(traj, name), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    # the kernel's (m, R, n_out), (n_out, R, m), (m, T, S) and (m, R) layouts and
+    # mean_gradient's (q, R, m) and (q, batch, query), a slice of one number included
+    rest=st.lists(st.integers(1, 5), max_size=3).map(tuple),
+    data=st.data(),
+)
+def test_slice_sum_is_the_left_to_right_loop(n, rest, data):
+    shape = (n,) + rest
+    P = data.draw(hnp.arrays(float, shape, elements=st.floats(1e-8, 1e8)))
+    P *= data.draw(hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 1.0])))
+    for i in range(n):
+        zero = data.draw(st.sampled_from([None, 0.0, -0.0]))
+        if zero is not None:  # a row of signed zeros
+            P[i] = zero
+    want = P[0]
+    for row in P[1:]:
+        want = want + row
+    assert np.asarray(algorithm._slice_sum(P)).tobytes() == np.asarray(want).tobytes()
+    if P.size > n:  # what _slice_sum relies on: whole slices added in index order
+        assert np.add.reduce(P, axis=0, initial=-0.0).tobytes() == np.asarray(want).tobytes()
+    np.testing.assert_array_equal(algorithm._slice_sum(P[:0]), np.zeros(rest))
 
 
 @settings(max_examples=25, deadline=None)

@@ -128,8 +128,22 @@ def test_posterior_shapes_scalar_and_array():
     assert gp.mean_gradient(grid).shape == (7,)
 
 
-def test_duplicate_sites_with_zero_noise_survive_via_jitter():
+def test_duplicate_sites_with_zero_noise_survive_via_jitter(monkeypatch):
+    # at sigma_f2 = 2 the jitter-free Gram matrix [[2, 2], [2, 2]] factorises
+    # without error, but its second pivot is rounding noise below the pivot
+    # floor, so the accepted factor carries a nonzero jitter
+    cholesky, calls = np.linalg.cholesky, []
+
+    def spy(a):
+        factor = cholesky(a)
+        calls.append((a[0, 0], factor))
+        return factor
+
+    monkeypatch.setattr(gplearn.np.linalg, "cholesky", spy)
     gp = gplearn.GPPosterior(KER, 0.0, [1.0, 1.0], [2.0, 2.0])
+    assert calls[0][0] == 2.0 and len(calls) > 1
+    assert calls[-1][0] > 2.0
+    np.testing.assert_array_equal(gp._factors, calls[-1][1])
     assert np.isfinite(gp.posterior_mean(0.0))
 
 

@@ -103,25 +103,15 @@ def test_hp_bound_rejects_bad_delta():
             c.hp_bound(delta)
 
 
-def test_tail_prob_bound_frozen_value_and_shape():
-    c = sw.SubWeibull(1.0, 1.0)
-    # nu1 = (2e/theta)^theta nu = 2e; at eps = 2e the exponent is exactly 1
-    assert c.tail_prob_bound(2.0 * math.e) == pytest.approx(2.0 / math.e, rel=1e-14)
-    assert c.tail_prob_bound(2.0 * math.e) == pytest.approx(0.7357588823428847)
-    eps = np.linspace(0.5, 50.0, 40)
-    probs = [c.tail_prob_bound(e) for e in eps]
-    assert all(b <= a for a, b in zip(probs, probs[1:]))
-    with pytest.raises(ValueError, match="threshold"):
-        c.tail_prob_bound(0.0)
-    assert sw.SubWeibull(1.0, 0.0).tail_prob_bound(1.0) == 0.0
-
-
 def test_hp_and_tail_bounds_are_mutually_consistent():
     # P(|X| >= hp_bound(delta)) <= delta must hold inside the calculus itself
     for theta, nu in ((0.5, 1.0), (1.0, 2.0), (2.0, 0.3)):
         c = sw.SubWeibull(theta, nu)
         for delta in (0.5, 0.1, 0.01):
-            assert c.tail_prob_bound(c.hp_bound(delta)) <= delta + 1e-12
+            # the certificate's tail 2 exp(-(eps / nu1)^(1/theta)), nu1 = (2e/theta)^theta nu
+            nu1 = (2.0 * math.e / theta) ** theta * nu
+            tail = 2.0 * math.exp(-((c.hp_bound(delta) / nu1) ** (1.0 / theta)))
+            assert tail <= delta + 1e-12
 
 
 # -- error-norm composition ----------------------------------------------------

@@ -182,7 +182,7 @@ def _robust_cholesky(gram: np.ndarray, noise_var: float, sigma_f2: float) -> np.
             factor = np.linalg.cholesky(gram + (noise_var + jitter * sigma_f2) * eye)
         except np.linalg.LinAlgError:
             continue
-        if np.all(np.diagonal(factor) > floor):
+        if factor.diagonal().min() > floor:
             return factor
     raise np.linalg.LinAlgError(
         "kernel matrix is numerically singular even with jitter; "

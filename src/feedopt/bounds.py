@@ -153,20 +153,21 @@ def expectation_bound(inputs: BoundInputs) -> BoundCurve:
     sums exactly.
     """
     T = inputs.horizon
-    rho = inputs.rho
-    transient = np.empty(T + 1)
-    path = np.zeros(T + 1)
-    error = np.zeros(T + 1)
-    transient[0] = inputs.d0
+    # the recurrences run over Python floats: the same IEEE operations in the
+    # same order as over NumPy scalars, without their per-operation overhead
+    rho, phi, e_mean = inputs.rho.tolist(), inputs.phi.tolist(), inputs.e_mean.tolist()
+    d0, gain = float(inputs.d0), float(inputs.alpha) * float(inputs.p)
+    transient, path, error = [d0], [0.0], [0.0]
     log_acc = 0.0
     for t in range(1, T + 1):
         log_acc += math.log(rho[t])
-        transient[t] = inputs.d0 * math.exp(log_acc)
-        path[t] = rho[t] * (path[t - 1] + inputs.phi[t - 1])
-        error[t] = rho[t] * error[t - 1] + inputs.alpha * inputs.p * inputs.e_mean[t]
-    value = transient + path + error
+        transient.append(d0 * math.exp(log_acc))
+        path.append(rho[t] * (path[-1] + phi[t - 1]))
+        error.append(rho[t] * error[-1] + gain * e_mean[t])
+    transient, path, error = np.array(transient), np.array(path), np.array(error)
     return BoundCurve(
-        t=np.arange(T + 1), value=value, transient=transient, path_term=path, error_term=error
+        t=np.arange(T + 1), value=transient + path + error,
+        transient=transient, path_term=path, error_term=error,
     )
 
 

@@ -151,16 +151,40 @@ def _validation_setup(args):
     return scen, val, prob, replace(acfg, alpha=alpha), n_steps
 
 
+def _json_value(value) -> str:
+    """``json.dumps`` of ``value``, an array as its nested list.  A 2-D float64
+    array is split into runs of bitwise-equal rows (compared as ``uint64``, so
+    ``-0.0`` and ``0.0`` never merge): each repeated row is formatted once and
+    its text repeated, each stretch of distinct rows with one ``json.dumps``."""
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value)
+    if value.ndim != 2 or value.dtype != np.float64:
+        return json.dumps(value.tolist())
+    bits = value.view(np.uint64)
+    edges = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(value)]
+    parts, lo = [], 0  # rows lo .. of the current stretch of distinct rows await their text
+    for start, stop in zip(edges[:-1], edges[1:]):
+        if stop - start > 1:
+            if lo < start:
+                parts.append(json.dumps(value[lo:start].tolist())[1:-1])
+            parts.append(", ".join([json.dumps(value[start].tolist())] * (stop - start)))
+            lo = stop
+    if lo < len(value):
+        parts.append(json.dumps(value[lo:].tolist())[1:-1])
+    return "[" + ", ".join(parts) + "]"
+
+
 def _dump_instance(path: str, scen, prob) -> None:
-    """The bytes of ``json.dump({"seed", "horizon", "problem": dict(prob.iter_dict())})``
-    and a newline, written one problem field at a time.  ``json.dump`` always
-    takes the pure-Python encoder; one ``json.dumps`` per field takes the C
-    one, and one field's list is alive at a time, not the whole instance's."""
+    """The bytes of ``json.dump`` of ``{"seed", "horizon", "problem"}`` and a newline,
+    the problem being the items of ``prob.iter_fields()`` with arrays as nested
+    lists, written one field at a time.  ``json.dump`` always takes the
+    pure-Python encoder; :func:`_json_value` takes the C one, and formats each
+    run of repeated rows (the piecewise-constant cost schedules) once."""
     head = json.dumps({"seed": scen.seed, "horizon": scen.horizon})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "problem": {')
-        for i, (name, value) in enumerate(prob.iter_dict()):
-            fh.write((", " if i else "") + json.dumps(name) + ": " + json.dumps(value))
+        for i, (name, value) in enumerate(prob.iter_fields()):
+            fh.write((", " if i else "") + json.dumps(name) + ": " + _json_value(value))
         fh.write("}}\n")
 
 

@@ -263,14 +263,11 @@ class TimeVaryingProblem:
 
     # -- serialization -------------------------------------------------------------
 
-    def iter_dict(self):
-        """The instance as ``(name, value)`` items, arrays as nested lists, each
-        field made a list only when reached."""
+    def iter_fields(self):
+        """The instance as ``(name, value)`` items, arrays as they are."""
         plant, boxes, costs = self.plant, self.boxes, self.costs
-        fields = (
+        return (
             ("G", plant.G), ("H", plant.H), ("lower", boxes.lower), ("upper", boxes.upper),
             ("beta", costs.beta), ("y_ref", costs.y_ref),
             ("a", costs.a), ("b", costs.b), ("c", costs.c), ("w", costs.w),
         )
-        for name, value in fields:
-            yield name, value.tolist() if isinstance(value, np.ndarray) else value

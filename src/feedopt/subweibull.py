@@ -158,9 +158,11 @@ class ErrorSampler:
         if self.kind == _UNIFORM:
             return self.scale * rng.uniform(-1.0, 1.0, n)
         if self.kind == _WEIBULL:
-            magnitude = self.scale * rng.weibull(1.0 / self.declared.theta, n)
-            sign = rng.integers(0, 2, n) * 2 - 1
-            return sign * magnitude
+            # each sign bit b gives the factor 2 b - 1: negate where b == 0, in place
+            magnitude = rng.weibull(1.0 / self.declared.theta, n)
+            magnitude *= self.scale
+            negative = rng.integers(0, 2, n) == 0
+            return np.negative(magnitude, out=magnitude, where=negative)
         raise ValueError(f"unknown sampler kind {self.kind!r}")
 
 

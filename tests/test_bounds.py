@@ -231,6 +231,37 @@ def test_expectation_bound_matches_literal_sums():
     )
 
 
+def numpy_scalar_expectation(inputs):
+    """The recurrences of :func:`bounds.expectation_bound` over NumPy scalars,
+    written into preallocated arrays."""
+    T, rho = inputs.horizon, inputs.rho
+    transient, path, error = np.empty(T + 1), np.zeros(T + 1), np.zeros(T + 1)
+    transient[0] = inputs.d0
+    log_acc = 0.0
+    for t in range(1, T + 1):
+        log_acc += math.log(rho[t])
+        transient[t] = inputs.d0 * math.exp(log_acc)
+        path[t] = rho[t] * (path[t - 1] + inputs.phi[t - 1])
+        error[t] = rho[t] * error[t - 1] + inputs.alpha * inputs.p * inputs.e_mean[t]
+    return transient + path + error, transient, path, error
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.integers(1, 300),
+    alpha=st.floats(1e-6, 1.99),
+    p=st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    d0=st.sampled_from([0.0, 3.0, 1e-310, 7.5e12]),
+)
+def test_expectation_bound_equals_the_numpy_scalar_loop(T, alpha, p, seed, d0):
+    inputs = replace(make_inputs(T=T, alpha=alpha, p=p, seed=seed), d0=d0)
+    curve = bounds.expectation_bound(inputs)
+    got = (curve.value, curve.transient, curve.path_term, curve.error_term)
+    for a, b in zip(got, numpy_scalar_expectation(inputs)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_asymptotic_envelope_dominates_the_exact_one():
     inputs = make_inputs()
     exact = bounds.expectation_bound(inputs)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedopt import cli, config, problem, scenario
 from tests_common import from_dict
@@ -143,8 +145,33 @@ def test_instance_dump_round_trip(tmp_path):
     prob = scenario.build_scenario(scen)
     np.testing.assert_array_equal(clone.optimal_points(), prob.optimal_points())
     # the bytes are those of one json.dumps of the whole payload
-    expected = json.dumps({"seed": scen.seed, "horizon": scen.horizon, "problem": dict(prob.iter_dict())})
+    fields = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in prob.iter_fields()}
+    expected = json.dumps({"seed": scen.seed, "horizon": scen.horizon, "problem": fields})
     assert (out / "scenario_instance.json").read_bytes() == (expected + "\n").encode()
+
+
+ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-310, 1e300, 0.1, float("nan"), float("inf")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_cols=st.integers(0, 3), data=st.data())
+def test_json_value_is_json_dumps_of_the_list(n_cols, data):
+    # rows drawn from a pool of three, so runs of repeated rows are common;
+    # rows of 0.0 and of -0.0 are distinct rows
+    pool = data.draw(st.lists(st.lists(ROW_VALUES, min_size=n_cols, max_size=n_cols), min_size=1, max_size=3))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    arr = np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), n_cols)
+    assert cli._json_value(arr) == json.dumps(arr.tolist())
+    assert cli._json_value(arr[:1]) == json.dumps(arr[:1].tolist())
+    assert cli._json_value(arr.T) == json.dumps(arr.T.tolist())  # a strided view
+    assert cli._json_value(arr.ravel()) == json.dumps(arr.ravel().tolist())
+
+
+def test_json_value_keeps_signed_zero_rows_apart():
+    arr = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    assert cli._json_value(arr) == "[[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]"
+    assert cli._json_value(np.arange(6).reshape(3, 2)) == "[[0, 1], [2, 3], [4, 5]]"
+    assert cli._json_value(0.5) == "0.5"
 
 
 def test_run_scenario_refuses_to_clobber(tmp_path, capsys):

@@ -280,7 +280,7 @@ def test_oracle_non_convergence_is_reported(monkeypatch):
 
 def test_dict_round_trip():
     prob = small_instance()
-    clone = from_dict(dict(prob.iter_dict()))
+    clone = from_dict(dict(prob.iter_fields()))
     np.testing.assert_array_equal(clone.plant.G, prob.plant.G)
     np.testing.assert_array_equal(clone.costs.b, prob.costs.b)
     np.testing.assert_array_equal(clone.boxes.upper, prob.boxes.upper)

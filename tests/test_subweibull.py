@@ -247,3 +247,34 @@ def test_weibull_scale_closed_form_equals_the_grid_supremum(theta, scale):
     # the supremum over k sits at k = 1, where the declared scale is scale * Gamma(1 + theta)
     assert np.argmax(grid_log_ratios(theta)) == 0
     assert sw.weibull_tail(theta, scale).declared.nu == scale * math.gamma(1.0 + theta)
+
+
+def old_sample(sampler, rng, n):
+    """The samplers' draws as the signed-product form wrote them: Weibull
+    magnitudes, then sign bits b, then (2 b - 1) * magnitude."""
+    if sampler.kind == "gaussian":
+        return sampler.scale * rng.standard_normal(n)
+    if sampler.kind == "bounded-uniform":
+        return sampler.scale * rng.uniform(-1.0, 1.0, n)
+    magnitude = sampler.scale * rng.weibull(1.0 / sampler.declared.theta, n)
+    sign = rng.integers(0, 2, n) * 2 - 1
+    return sign * magnitude
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "bounded-uniform", "weibull-tail"]),
+    scale=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),  # scale 0 draws only zeros
+    theta=st.floats(0.05, 10.0),
+    n=st.one_of(st.just(1), st.integers(1, 3000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_draws_equal_the_signed_product(kind, scale, theta, n, seed):
+    # in-place negation where the sign bit is 0 gives the bits of the old
+    # product, signs of zero included, and leaves the stream where it did
+    sampler = sw.sampler(kind, scale, theta)
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        got, want = sampler.sample(new_rng, n), old_sample(sampler, old_rng, n)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state

@@ -4,10 +4,14 @@ Full-scale dominance runs live in test_acceptance.py; these stay at the
 smallest sample sizes the harness accepts.
 """
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feedopt import algorithm, bounds, subweibull, validation
 from feedopt.validation import ValidationCheck, ValidationReport
@@ -134,6 +138,63 @@ def test_closure_check_minimum_size():
     names = [c.name for c in report.checks]
     for tag in ("scale(3x)", "shift(2+x)", "add(x+y)", "mul(x*y)", "error-norm(dim=4)"):
         assert any(n.startswith(tag) for n in names)
+
+
+def test_closure_check_footprint():
+    # The largest set of arrays the closure check holds at once is the error
+    # vectors' draw: while the xi magnitudes get their signs, the vectors e,
+    # the Weibull magnitudes and the int64 sign bits (8 bytes per dim*n each)
+    # and the bool mask of negative signs (1 byte) are alive, 25 bytes per
+    # dim*n.  At dim 4 every other stage holds less: x, y, one composition
+    # and the two moment buffers of its magnitudes take 40 bytes per n, and e
+    # with its row sums and norms 10 per dim*n.  The report and loose Python
+    # objects get 256 KiB on top.  tracemalloc sees NumPy's buffers; a first
+    # call loads what the check imports lazily.
+    dim, n = 4, 10**5
+    validation.validate_closure_ops(dim=dim, n_samples=n)
+    tracemalloc.start()
+    try:
+        validation.validate_closure_ops(dim=dim, n_samples=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * dim * n + 256 * 1024
+
+
+def same_float(a, b):
+    """Equal bit for bit, with NaN equal to NaN and -0.0 unequal to 0.0."""
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-300),  # subnormals included
+    st.floats(0.0, 10.0),
+    st.floats(1e3, 1e60),  # heavy tails; their 8th powers overflow
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(MAGNITUDES, min_size=2, max_size=300))
+@example(values=np.random.default_rng(0).weibull(0.5, 20_001).tolist())  # many pairwise blocks
+def test_moment_and_tail_statistics_are_mean_and_std(values):
+    # the two-buffer sums equal |x|^k .mean() and .std(ddof=1) / sqrt(n), and
+    # the tail count the mean of the exceedance mask, bit for bit
+    absx = np.array(values)
+    n = absx.shape[0]
+    cert = subweibull.SubWeibull(1.0, 1.0)
+    report = ValidationReport()
+    with np.errstate(all="ignore"):
+        validation._moment_checks("x", absx, cert, report)
+        validation._tail_checks("x", absx, cert, report)
+        for k, check in enumerate(report.checks[: validation._K_MAX], start=1):
+            powers = absx ** float(k)
+            m_hat = float(powers.mean())
+            se = float(powers.std(ddof=1)) / math.sqrt(n)
+            assert same_float(check.std_error, se)
+            assert same_float(check.statistic, m_hat - 3.0 * se)
+    for delta, check in zip(validation._TAIL_DELTAS, report.checks[validation._K_MAX :]):
+        assert same_float(check.statistic, float(np.mean(absx >= cert.hp_bound(delta))))
 
 
 def test_report_summary_and_csv(tmp_path):

@@ -82,7 +82,8 @@ def literal_run(prob, cfg, x0, rng, n_steps, input_grad=None):
 
 
 def from_dict(payload):
-    """A problem rebuilt from the items of ``TimeVaryingProblem.iter_dict``."""
+    """A problem rebuilt from the items of ``TimeVaryingProblem.iter_fields``,
+    arrays given as arrays or as nested lists."""
     arr = {k: np.array(v) for k, v in payload.items() if k != "beta"}
     return problem.TimeVaryingProblem(
         problem.LinearPlantMap(arr["G"], arr["H"]),
